@@ -1,11 +1,15 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/fatgather/fatgather/internal/adversary"
 	"github.com/fatgather/fatgather/internal/experiments"
 	"github.com/fatgather/fatgather/internal/sim"
 	"github.com/fatgather/fatgather/internal/trace"
@@ -22,6 +26,41 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, os.Stderr); err == nil {
 			t.Fatalf("args %v: expected an error", args)
+		}
+	}
+}
+
+// TestAdversaryHelpListsEveryStrategy checks the real -h output names every
+// registered adversary and the spec grammar, so the help cannot fall behind
+// the registry again.
+func TestAdversaryHelpListsEveryStrategy(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "help")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = f // the flag set prints -h usage to os.Stderr
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	help := string(data)
+	for _, name := range adversary.Names() {
+		if !strings.Contains(help, name) {
+			t.Errorf("-adversary help misses strategy %q:\n%s", name, help)
+		}
+	}
+	for _, grammar := range []string{"crash(k)", "+noise=", "+trunc="} {
+		if !strings.Contains(help, grammar) {
+			t.Errorf("-adversary help misses spec grammar %q:\n%s", grammar, help)
 		}
 	}
 }

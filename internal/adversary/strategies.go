@@ -31,8 +31,12 @@ type GreedyStall struct {
 	// within one event, so Move can reuse it instead of recomputing the
 	// hulls.
 	lastVictim int
-	// scratch is the candidate-configuration buffer reused by victimOf.
+	// scratch is the candidate-configuration buffer reused by victimOf, and
+	// hullSc the hull buffers reused for its n+1 hulls per decision.
 	scratch []geom.Vec
+	hullSc  geom.HullScratch
+	// others is the non-victim candidate buffer reused by Next.
+	others []int
 }
 
 // NewGreedyStall returns a greedy hull-stalling strategy.
@@ -50,7 +54,7 @@ func (g *GreedyStall) victimOf(env Env) int {
 	if len(env.Centers) < 3 {
 		return -1 // hull area is identically zero; nothing to stall on
 	}
-	area := geom.PolygonArea(geom.ConvexHull(env.Centers))
+	area := geom.PolygonArea(g.hullSc.ConvexHull(env.Centers))
 	if cap(g.scratch) < len(env.Centers) {
 		g.scratch = make([]geom.Vec, len(env.Centers))
 	}
@@ -62,7 +66,7 @@ func (g *GreedyStall) victimOf(env Env) int {
 		}
 		copy(pts, env.Centers)
 		pts[i] = env.Targets[i]
-		shrink := area - geom.PolygonArea(geom.ConvexHull(pts))
+		shrink := area - geom.PolygonArea(g.hullSc.ConvexHull(pts))
 		if shrink > bestShrink+geom.Eps {
 			bestShrink = shrink
 			victim = i
@@ -84,17 +88,17 @@ func (g *GreedyStall) Next(candidates []int, env Env) int {
 		g.starved[v] = 0
 		return v
 	}
-	others := make([]int, 0, len(candidates))
+	g.others = g.others[:0]
 	for _, c := range candidates {
 		if c != v {
-			others = append(others, c)
+			g.others = append(g.others, c)
 		}
 	}
-	if len(others) == 0 {
+	if len(g.others) == 0 {
 		g.starved[v] = 0
 		return v
 	}
-	return g.roundRobin(others)
+	return g.roundRobin(g.others)
 }
 
 // roundRobin picks the first candidate at or after the cursor, cyclically

@@ -63,7 +63,26 @@ func ComponentGapTol(m int) float64 {
 // larger gaps split components. The components are returned in
 // counter-clockwise order starting from an arbitrary but deterministic gap.
 func ConnectedComponents(points []geom.Vec, m int) []Component {
-	ordered := hullCycleOrder(points)
+	return splitComponents(hullCycleOrder(points), m)
+}
+
+// components returns ConnectedComponents(h.all, m) without recomputing the
+// hull: the digest's corners and interior are exactly the ConvexHull and
+// Centroid of h.all that hullCycleOrder would build. When every visible
+// robot is within slack of the hull (always the case in NotConnected), the
+// slack filter of h.onHull kept the same points in the same order as the
+// unbounded one, so the ordering is reused as is.
+func (h *hullInfo) components(m int) []Component {
+	ordered := h.onHull
+	if len(ordered) != len(h.all) {
+		ordered = orderOnHull(h.all, h.corners, math.Inf(1), h.interior)
+	}
+	return splitComponents(ordered, m)
+}
+
+// splitComponents cuts points already in cyclic hull order into components
+// at every gap wider than ComponentGapTol(m).
+func splitComponents(ordered []geom.Vec, m int) []Component {
 	n := len(ordered)
 	if n == 0 {
 		return nil
@@ -154,7 +173,11 @@ const gapEqualityTol = 1e-6
 //	  neighbour component is the smallest gap;
 //	3 otherwise.
 func HowMuchDistance(points []geom.Vec, c geom.Vec, m int) int {
-	comps := ConnectedComponents(points, m)
+	return howMuchDistance(ConnectedComponents(points, m), c)
+}
+
+// howMuchDistance is HowMuchDistance over an already computed partition.
+func howMuchDistance(comps []Component, c geom.Vec) int {
 	if len(comps) <= 1 {
 		return 2
 	}

@@ -194,3 +194,45 @@ func TestComponentGaps(t *testing.T) {
 		}
 	}
 }
+
+// TestHullDigestComponentsMatchConnectedComponents pins the once-per-Decide
+// partition to the public function it replaces in NotConnected: for views
+// with every robot on the hull (where the digest's onHull ordering is
+// reused) and views with interior robots (where the unbounded ordering is
+// rebuilt from the digest's hull), the components must be identical, bit for
+// bit and in order, and so must How-Much-Distance for every robot.
+func TestHullDigestComponentsMatchConnectedComponents(t *testing.T) {
+	views := [][]geom.Vec{
+		ringPositions(6, 4),
+		ringPositions(7, 2.05),
+		{v(0, 0), v(2, 0), v(10, 0), v(5, 8)},
+		{v(0, 0), v(2.1, 0), v(4.2, 0.3), v(9, 4), v(3, 9), v(-2, 5)},
+		{v(0, 0), v(12, 0), v(6, 10), v(6, 3)},             // one interior robot
+		{v(0, 0), v(3, 0), v(6, 0), v(9, 0)},               // collinear
+		append(ringPositions(5, 6), v(0.5, -0.5), v(0, 0)), // two interior robots
+	}
+	for vi, pts := range views {
+		n := len(pts)
+		h := buildHullInfo(NewView(pts[0], pts[1:], n))
+		want := ConnectedComponents(h.all, n)
+		got := h.components(n)
+		if len(got) != len(want) {
+			t.Fatalf("view %d: %d components, want %d", vi, len(got), len(want))
+		}
+		for ci := range want {
+			if len(got[ci].Members) != len(want[ci].Members) {
+				t.Fatalf("view %d component %d: %v, want %v", vi, ci, got[ci].Members, want[ci].Members)
+			}
+			for k := range want[ci].Members {
+				if got[ci].Members[k] != want[ci].Members[k] {
+					t.Fatalf("view %d component %d: %v, want %v", vi, ci, got[ci].Members, want[ci].Members)
+				}
+			}
+		}
+		for _, p := range pts {
+			if g, w := howMuchDistance(got, p), HowMuchDistance(h.all, p, n); g != w {
+				t.Fatalf("view %d robot %v: howMuchDistance %d, HowMuchDistance %d", vi, p, g, w)
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/fatgather/fatgather/internal/geom"
-	"github.com/fatgather/fatgather/internal/vision"
 )
 
 // Decision is the output of the local algorithm for one Compute phase.
@@ -44,15 +43,14 @@ func Decide(v View) Decision {
 }
 
 // decider carries the per-decision derived data shared by the procedures,
-// plus scratch buffers reused across the O(view^2) visibility queries a single
-// decision can issue (viewFullyVisible, selfBlocksPair).
+// plus the obstacle buffer reused across the O(view^2) pair queries of
+// selfBlocksPair.
 type decider struct {
 	view View
 	hull *hullInfo
 
 	trace []AlgState
 
-	vsc    vision.Scratch
 	obsBuf []geom.Vec
 }
 
@@ -287,7 +285,7 @@ func (d *decider) procNotConnected() geom.Vec {
 		return self
 	}
 
-	comps := ConnectedComponents(all, n)
+	comps := h.components(n)
 	if len(comps) == 1 {
 		if !touchingAny(self, all) {
 			// Sub-tangency gaps on both sides: converge inward.
@@ -335,7 +333,7 @@ func (d *decider) procNotConnected() geom.Vec {
 		// neighbour), exactly as in the paper's cascading argument.
 		return MoveToPoint(self, right, n, h.interior)
 	}
-	switch HowMuchDistance(all, self, n) {
+	switch howMuchDistance(comps, self) {
 	case 1:
 		return MoveToPoint(self, right, n, h.interior) // case (B)
 	case 2:

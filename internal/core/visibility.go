@@ -14,9 +14,8 @@ var visionModel = vision.Default
 // only robots in the plane, every robot can see every other robot. This is
 // the operative form of the paper's "all robots have full visibility
 // according to Vi" check in Procedure OnConvexHull. Small views run the flat
-// pair scan through the decider's reused scratch (identical verdicts and
-// early-exit order to Model.FullyVisible, no per-pair allocation); large views
-// keep the grid-indexed batch path.
+// pair scan (identical verdicts and early-exit order to Model.FullyVisible,
+// no per-pair allocation); large views keep the grid-indexed batch path.
 func (d *decider) viewFullyVisible() bool {
 	all := d.hull.all
 	if len(all) >= vision.GridThreshold {
@@ -24,7 +23,7 @@ func (d *decider) viewFullyVisible() bool {
 	}
 	for i := range all {
 		for j := range all {
-			if !visionModel.VisibleScratch(&d.vsc, all, i, j) {
+			if !visionModel.Visible(all, i, j) {
 				return false
 			}
 		}
@@ -52,11 +51,11 @@ func (d *decider) selfBlocksPair() (a, b geom.Vec, blocks bool) {
 				continue
 			}
 			d.obsBuf = appendObstaclesFor(d.obsBuf[:0], all, all[i], all[j], geom.Vec{}, false)
-			if visionModel.VisiblePairScratch(&d.vsc, all[i], all[j], d.obsBuf) {
+			if visionModel.VisiblePair(all[i], all[j], d.obsBuf) {
 				continue
 			}
 			d.obsBuf = appendObstaclesFor(d.obsBuf[:0], all, all[i], all[j], self, true)
-			if !visionModel.VisiblePairScratch(&d.vsc, all[i], all[j], d.obsBuf) {
+			if !visionModel.VisiblePair(all[i], all[j], d.obsBuf) {
 				continue // blocked by someone else too; not this robot's job
 			}
 			dist := geom.DistancePointSegment(self, all[i], all[j])

@@ -34,8 +34,6 @@ type Cache struct {
 	vis   []bool
 	invis int // number of false entries in vis
 
-	vsc vision.Scratch
-
 	hullDirty bool
 	hullSc    geom.HullScratch
 	corners   []geom.Vec // aliases hullSc; valid until the next recompute
@@ -214,13 +212,13 @@ func (c *Cache) Spread() float64 {
 
 // pairVisible answers one ordered visibility query from scratch.
 func (c *Cache) pairVisible(i, j int) bool {
-	return c.model.VisibleScratch(&c.vsc, c.centers, i, j)
+	return c.model.Visible(c.centers, i, j)
 }
 
 // rebuildVisibility recomputes the whole matrix. Large configurations go
 // through the uniform-grid index exactly like the batch Model queries do (the
 // grid answers are pinned identical to the flat scan); the per-move updates
-// always use the flat scratch query, which is allocation-free.
+// always use the flat pair query, which is allocation-free.
 func (c *Cache) rebuildVisibility() {
 	c.invis = 0
 	if c.n >= vision.GridThreshold {

@@ -34,10 +34,8 @@ const maxGridDim = 128
 // distance predicate is unchanged.
 //
 // Storage is a dense cells array in head/next (linked bucket) layout so that
-// queries touch no maps and allocate nothing. Queries reuse a per-Index
-// candidate-segment buffer, so an Index must not be queried from multiple
-// goroutines concurrently (build one Index per goroutine; construction is
-// cheap by design).
+// queries touch no maps and allocate nothing. Queries only read the index,
+// generating candidate sight lines lazily on the stack (see sightLines).
 type Index struct {
 	m       *Model
 	centers []geom.Vec
@@ -49,7 +47,6 @@ type Index struct {
 	rows    int
 	head    []int32 // first disc index per cell, -1 when empty
 	next    []int32 // next disc in the same cell, -1 at the end
-	segs    []geom.Segment
 }
 
 // NewIndex builds the spatial index for a configuration of disc centers. The
@@ -157,9 +154,8 @@ func (ix *Index) Visible(i, j int) bool {
 	if len(ix.centers) <= 2 {
 		return true
 	}
-	ci, cj := ix.centers[i], ix.centers[j]
-	ix.segs = ix.m.appendCandidateSegments(ix.segs[:0], ci, cj, ix.r)
-	for _, seg := range ix.segs {
+	lines := ix.m.sightLines(ix.centers[i], ix.centers[j], ix.r)
+	for seg, ok := lines.next(); ok; seg, ok = lines.next() {
 		if !ix.segmentBlocked(seg, i, j) {
 			return true
 		}

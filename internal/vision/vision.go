@@ -67,19 +67,12 @@ var Default = New(Options{})
 // radius the model uses.
 func (m *Model) Radius() float64 { return m.opts.radius() }
 
-// Scratch holds reusable buffers for repeated visibility queries on a hot
-// path. The zero value is ready to use; once the buffer has grown to the
-// candidate-segment count (3 + 2*BoundarySamples), VisibleScratch allocates
-// nothing. A Scratch is not safe for concurrent use.
-type Scratch struct {
-	segs []geom.Segment
-}
-
 // Visible reports whether the robot centered at centers[i] can see the robot
 // centered at centers[j], given that every entry of centers is an opaque
-// closed disc. A robot always sees itself. One-shot queries allocate the
-// candidate buffer exactly once; hot paths should hold a Scratch and call
-// VisibleScratch instead.
+// closed disc. A robot always sees itself. Candidate sight lines are
+// generated lazily and the scan stops at the first clear one (see
+// sightLines), skipping the discs i and j in place, so the query allocates
+// nothing.
 func (m *Model) Visible(centers []geom.Vec, i, j int) bool {
 	if i == j {
 		return true
@@ -89,29 +82,8 @@ func (m *Model) Visible(centers []geom.Vec, i, j int) bool {
 		return true
 	}
 	r := m.opts.radius()
-	for _, seg := range m.candidateSegments(centers[i], centers[j], r) {
-		if !segmentBlockedExcept(seg, centers, i, j, r) {
-			return true
-		}
-	}
-	return false
-}
-
-// VisibleScratch answers exactly Visible(centers, i, j) — same candidates,
-// same blockers, same scan order — but generates the candidate sight lines
-// into the scratch's reused buffer and skips the blockers i and j in place
-// instead of materializing a blocker slice.
-func (m *Model) VisibleScratch(sc *Scratch, centers []geom.Vec, i, j int) bool {
-	if i == j {
-		return true
-	}
-	if len(centers) <= 2 {
-		// No third disc exists to block the pair.
-		return true
-	}
-	r := m.opts.radius()
-	sc.segs = m.appendCandidateSegments(sc.segs[:0], centers[i], centers[j], r)
-	for _, seg := range sc.segs {
+	lines := m.sightLines(centers[i], centers[j], r)
+	for seg, ok := lines.next(); ok; seg, ok = lines.next() {
 		if !segmentBlockedExcept(seg, centers, i, j, r) {
 			return true
 		}
@@ -120,30 +92,15 @@ func (m *Model) VisibleScratch(sc *Scratch, centers []geom.Vec, i, j int) bool {
 }
 
 // VisiblePair reports whether two discs at a and b can see each other given
-// the obstacle discs (which must not include a or b).
+// the obstacle discs (which must not include a or b). Like Visible it stops
+// at the first clear candidate and allocates nothing.
 func (m *Model) VisiblePair(a, b geom.Vec, obstacles []geom.Vec) bool {
-	r := m.opts.radius()
-	if len(obstacles) == 0 {
-		return true
-	}
-	for _, seg := range m.candidateSegments(a, b, r) {
-		if !segmentBlocked(seg, obstacles, r) {
-			return true
-		}
-	}
-	return false
-}
-
-// VisiblePairScratch answers exactly VisiblePair(a, b, obstacles) — same
-// candidates, same blockers, same scan order — but generates the candidate
-// sight lines into the scratch's reused buffer.
-func (m *Model) VisiblePairScratch(sc *Scratch, a, b geom.Vec, obstacles []geom.Vec) bool {
 	if len(obstacles) == 0 {
 		return true
 	}
 	r := m.opts.radius()
-	sc.segs = m.appendCandidateSegments(sc.segs[:0], a, b, r)
-	for _, seg := range sc.segs {
+	lines := m.sightLines(a, b, r)
+	for seg, ok := lines.next(); ok; seg, ok = lines.next() {
 		if !segmentBlocked(seg, obstacles, r) {
 			return true
 		}
@@ -227,52 +184,88 @@ func (m *Model) VisibilityCount(centers []geom.Vec) int {
 	return count
 }
 
-// candidateSegments generates the candidate sight lines between the discs at
-// a and b: the center-center segment (clipped to the disc boundaries), the
-// two outer common tangents, and sampled boundary-to-boundary segments on the
-// halves of each disc facing the other.
-func (m *Model) candidateSegments(a, b geom.Vec, r float64) []geom.Segment {
-	return m.appendCandidateSegments(make([]geom.Segment, 0, 3+m.opts.samples()*2), a, b, r)
+// sightLines generates the candidate sight lines between the discs at a and
+// b one at a time, in a fixed order:
+//
+//  1. touching (or illegally overlapping) discs: only a degenerate segment at
+//     the contact point — they trivially see each other through the contact
+//     region;
+//  2. otherwise the center-center segment clipped to the disc boundaries,
+//  3. the two outer common tangents,
+//  4. and BoundarySamples boundary-to-boundary segments on the halves of each
+//     disc facing the other.
+//
+// A pair is visible when some candidate is clear, so callers stop at the
+// first clear one; on a visible pair that is nearly always the center line,
+// and the trigonometry of the boundary samples is never evaluated. Every
+// candidate is computed with the same expressions as the historical eager
+// generator (kept as a test oracle), so each endpoint — and therefore every
+// verdict and every pinned determinism hash downstream — is bit-identical.
+//
+// Every candidate lies within distance r of the center segment [a, b]: each
+// endpoint is on one of the two disc boundaries (distance exactly r from a
+// center, which lies on [a, b]), and the distance to a segment is convex
+// along a line, so the maximum over a candidate is attained at an endpoint.
+// Callers that cache visibility rely on this corridor bound to decide which
+// pairs a moved disc can possibly affect.
+type sightLines struct {
+	a, b     geom.Vec
+	r        float64
+	samples  int
+	touching bool
+	u        geom.Vec // unit direction a->b (unset when touching)
+	base     float64  // angle of u, computed with the first boundary sample
+	k        int      // index of the next candidate
 }
 
-// appendCandidateSegments appends the candidate sight lines between the discs
-// at a and b to dst and returns the extended slice. The arithmetic is kept
-// expression-for-expression identical to the historical candidateSegments so
-// every candidate endpoint — and therefore every visibility verdict and every
-// pinned determinism hash downstream — stays bit-identical.
-//
-// Every candidate segment lies within distance r of the center segment
-// [a, b]: each endpoint is on one of the two disc boundaries (distance
-// exactly r from a center, which lies on [a, b]), and the distance to a
-// segment is convex along a line, so the maximum over a candidate is attained
-// at an endpoint. Callers that cache visibility rely on this corridor bound
-// to decide which pairs a moved disc can possibly affect.
-func (m *Model) appendCandidateSegments(dst []geom.Segment, a, b geom.Vec, r float64) []geom.Segment {
+// sightLines starts the candidate generator for the pair of discs at a and b.
+func (m *Model) sightLines(a, b geom.Vec, r float64) sightLines {
+	s := sightLines{a: a, b: b, r: r, samples: m.opts.samples()}
 	dir := b.Sub(a)
-	d := dir.Norm()
-	if d <= 2*r+geom.Eps {
-		// Touching or (illegally) overlapping discs: they trivially see each
-		// other through the contact region; a degenerate segment at the
-		// contact point witnesses it.
-		mid := geom.Midpoint(a, b)
-		return append(dst, geom.Segment{A: mid, B: mid})
+	if dir.Norm() <= 2*r+geom.Eps {
+		s.touching = true
+	} else {
+		s.u = dir.Unit()
 	}
-	u := dir.Unit()
-	// Center-line candidate, clipped to the boundaries.
-	dst = append(dst, geom.Segment{A: a.Add(u.Scale(r)), B: b.Sub(u.Scale(r))})
-	// Outer common tangents.
-	dst = geom.AppendOuterTangentSegments(dst, a, b, r)
-	// Sampled boundary points on the facing halves.
-	nSamples := m.opts.samples()
-	base := u.Angle()
-	for s := 1; s <= nSamples; s++ {
-		// Spread angles in (-pi/2, pi/2) around the facing direction.
-		off := (float64(s)/float64(nSamples+1) - 0.5) * math.Pi
-		pa := geom.Circle{Center: a, Radius: r}.PointAtAngle(base + off)
-		pb := geom.Circle{Center: b, Radius: r}.PointAtAngle(base + math.Pi - off)
-		dst = append(dst, geom.Segment{A: pa, B: pb})
+	return s
+}
+
+// next returns the next candidate sight line, or false once all are spent.
+func (s *sightLines) next() (geom.Segment, bool) {
+	k := s.k
+	s.k++
+	if s.touching {
+		if k > 0 {
+			return geom.Segment{}, false
+		}
+		mid := geom.Midpoint(s.a, s.b)
+		return geom.Segment{A: mid, B: mid}, true
 	}
-	return dst
+	switch {
+	case k == 0:
+		// Center-line candidate, clipped to the boundaries.
+		return geom.Segment{A: s.a.Add(s.u.Scale(s.r)), B: s.b.Sub(s.u.Scale(s.r))}, true
+	case k <= 2:
+		// Outer common tangents: the offset is exactly the one of
+		// geom.AppendOuterTangentSegments, whose (b-a).Unit() is u.
+		n := s.u.Perp().Scale(s.r)
+		if k == 1 {
+			return geom.Segment{A: s.a.Add(n), B: s.b.Add(n)}, true
+		}
+		return geom.Segment{A: s.a.Sub(n), B: s.b.Sub(n)}, true
+	case k <= 2+s.samples:
+		// Sampled boundary points on the facing halves, angles spread in
+		// (-pi/2, pi/2) around the facing direction.
+		if k == 3 {
+			s.base = s.u.Angle()
+		}
+		i := k - 2
+		off := (float64(i)/float64(s.samples+1) - 0.5) * math.Pi
+		pa := geom.Circle{Center: s.a, Radius: s.r}.PointAtAngle(s.base + off)
+		pb := geom.Circle{Center: s.b, Radius: s.r}.PointAtAngle(s.base + math.Pi - off)
+		return geom.Segment{A: pa, B: pb}, true
+	}
+	return geom.Segment{}, false
 }
 
 // segmentBlocked reports whether the segment comes within the closed disc of

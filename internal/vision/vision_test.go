@@ -224,7 +224,7 @@ func TestVisibilityMonotonicityProperty(t *testing.T) {
 func TestCandidateSegmentsWithinDiscs(t *testing.T) {
 	m := Default
 	a, b := v(0, 0), v(12, 3)
-	segs := m.candidateSegments(a, b, geom.UnitRadius)
+	segs := drain(m, a, b, geom.UnitRadius)
 	if len(segs) < 3 {
 		t.Fatalf("expected several candidates, got %d", len(segs))
 	}
@@ -254,4 +254,14 @@ func TestSegmentBlocked(t *testing.T) {
 		t.Fatal("grazing obstacle should block (closed disc)")
 	}
 	_ = math.Pi
+}
+
+// TestRadiusAccessor pins the Radius accessor to the effective option value.
+func TestRadiusAccessor(t *testing.T) {
+	if got := Default.Radius(); got != geom.UnitRadius {
+		t.Fatalf("Default.Radius() = %v, want %v", got, geom.UnitRadius)
+	}
+	if got := New(Options{Radius: 2.5}).Radius(); got != 2.5 {
+		t.Fatalf("Radius() = %v, want 2.5", got)
+	}
 }
