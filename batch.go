@@ -54,7 +54,8 @@ type BatchOptions struct {
 	// leases just live on the coordinator instead of in lease files.
 	Coordinator string
 	// Resume reuses completed cells found in SweepDir; without it an
-	// existing store is reset and the batch starts clean.
+	// existing store is reset and the batch starts clean. Requires SweepDir
+	// or Coordinator.
 	Resume bool
 	// AdaptiveCI, when positive, enables adaptive seed scheduling: every
 	// (workload, n, adversary, algorithm) group keeps receiving extra seed
@@ -80,23 +81,9 @@ type BatchOptions struct {
 	// per-group seed counts as a single adaptive process.
 	ShardOwner string
 	// LeaseTTL is how long a sharded worker's lease outlives its last
-	// heartbeat before peers may reclaim it (default 30s).
+	// heartbeat before peers may reclaim it (default 30s). Requires
+	// ShardOwner.
 	LeaseTTL time.Duration
-	// Shards and ShardIndex statically partition the cell groups by a
-	// stable hash when Shards > 1: this process runs only the groups with
-	// hash%Shards == ShardIndex. Unlike lease mode this works without a
-	// SweepDir, but then BatchResult covers only this shard's cells.
-	Shards int
-	// ShardIndex is this process's static shard (0 <= ShardIndex < Shards).
-	ShardIndex int
-	// Steal enables lease-aware work stealing when ShardOwner and Shards are
-	// both set: once this worker's static share has no claimable cell group
-	// left, it claims unclaimed or expired groups outside the share instead
-	// of idling until peers finish. Stolen groups are arbitrated by the same
-	// leases, so every group still runs exactly once fleet-wide and results
-	// stay byte-identical; the count of stolen groups is reported in
-	// BatchResult.Stolen.
-	Steal bool
 }
 
 // BatchCell identifies one run within a batch.
@@ -168,13 +155,10 @@ type BatchResult struct {
 	Restored int
 	// Claimed and Skipped count the cell groups this worker ran vs left to
 	// peers in a sharded batch (both 0 without sharding), and Reclaimed
-	// counts expired leases taken over from dead workers. Stolen counts the
-	// claimed groups that lay outside this worker's static share
-	// (BatchOptions.Steal).
+	// counts expired leases taken over from dead workers.
 	Claimed   int
 	Skipped   int
 	Reclaimed int
-	Stolen    int
 }
 
 // RunBatch runs a declarative batch of gathering simulations across all CPU
@@ -230,24 +214,18 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	if opts.SeedStart < 0 {
 		return BatchResult{}, fmt.Errorf("%w: SeedStart must be positive (or 0 for the default), got %d", ErrBadOptions, opts.SeedStart)
 	}
-	sharded := opts.ShardOwner != "" || opts.Shards > 1
+	sharded := opts.ShardOwner != ""
 	if opts.SweepDir != "" && opts.Coordinator != "" {
 		return BatchResult{}, fmt.Errorf("%w: SweepDir and Coordinator are mutually exclusive (pick one coordination medium)", ErrBadOptions)
 	}
-	if sharded && opts.ShardOwner != "" && opts.SweepDir == "" && opts.Coordinator == "" {
+	if sharded && opts.SweepDir == "" && opts.Coordinator == "" {
 		return BatchResult{}, fmt.Errorf("%w: ShardOwner requires SweepDir or Coordinator (leases live in the shared sweep directory or on the coordinator)", ErrBadOptions)
 	}
-	if opts.Steal && opts.ShardOwner == "" {
-		return BatchResult{}, fmt.Errorf("%w: Steal requires ShardOwner (stealing is arbitrated through lease files)", ErrBadOptions)
+	if opts.Resume && opts.SweepDir == "" && opts.Coordinator == "" {
+		return BatchResult{}, fmt.Errorf("%w: Resume requires SweepDir or Coordinator (there is no store to resume from)", ErrBadOptions)
 	}
-	if opts.Shards < 0 {
-		return BatchResult{}, fmt.Errorf("%w: Shards must be non-negative, got %d", ErrBadOptions, opts.Shards)
-	}
-	if opts.Shards > 1 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.Shards) {
-		return BatchResult{}, fmt.Errorf("%w: ShardIndex must be in [0, %d), got %d", ErrBadOptions, opts.Shards, opts.ShardIndex)
-	}
-	if opts.ShardIndex != 0 && opts.Shards <= 1 {
-		return BatchResult{}, fmt.Errorf("%w: ShardIndex %d requires Shards > 1, got %d", ErrBadOptions, opts.ShardIndex, opts.Shards)
+	if opts.LeaseTTL > 0 && !sharded {
+		return BatchResult{}, fmt.Errorf("%w: LeaseTTL requires ShardOwner (only lease-claiming workers hold leases)", ErrBadOptions)
 	}
 	if opts.LeaseTTL < 0 {
 		return BatchResult{}, fmt.Errorf("%w: LeaseTTL must be non-negative, got %v", ErrBadOptions, opts.LeaseTTL)
@@ -317,13 +295,7 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 		stats   sweep.Stats
 		shStats sweep.ShardStats
 	)
-	shard := sweep.Shard{
-		Owner:  opts.ShardOwner,
-		TTL:    opts.LeaseTTL,
-		Shards: opts.Shards,
-		Index:  opts.ShardIndex,
-		Steal:  opts.Steal,
-	}
+	shard := sweep.Shard{Owner: opts.ShardOwner, TTL: opts.LeaseTTL}
 	adaptive := sweep.Adaptive{
 		TargetCI: opts.AdaptiveCI,
 		MaxSeeds: opts.AdaptiveMaxSeeds,
@@ -340,10 +312,6 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 	}
 	if sharded {
 		stats = shStats.Stats
-		// Cells another shard owns (and no store could merge) are dropped:
-		// the remaining results are exactly this worker's share, still in
-		// deterministic grid order.
-		results = sweep.DropNotClaimed(results)
 		if shStats.LeaseErrs > 0 {
 			warnings = append(warnings, fmt.Sprintf(
 				"sweep: %d cell groups ran without a lease (lease dir trouble); peers may duplicate that work", shStats.LeaseErrs))
@@ -371,7 +339,6 @@ func RunBatch(opts BatchOptions) (BatchResult, error) {
 		Claimed:   shStats.GroupsClaimed,
 		Skipped:   shStats.GroupsSkipped,
 		Reclaimed: shStats.LeasesReclaimed,
-		Stolen:    shStats.GroupsStolen,
 	}
 	for i, r := range results {
 		cell := BatchCellResult{

@@ -379,58 +379,16 @@ func TestRunBatchShardedConcurrentWorkers(t *testing.T) {
 	}
 }
 
-// TestRunBatchStaticShardsPartition pins static mode: without a shared
-// store the two shards return disjoint, complementary subsets of the batch.
-func TestRunBatchStaticShardsPartition(t *testing.T) {
-	opts := BatchOptions{
-		Workloads: []Workload{WorkloadClustered, WorkloadRing},
-		Ns:        []int{3, 4},
-		Seeds:     2,
-		MaxEvents: 1500,
-	}
-	want, err := RunBatch(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seen := map[BatchCell]int{}
-	total := 0
-	for idx := 0; idx < 2; idx++ {
-		sh := opts
-		sh.Shards = 2
-		sh.ShardIndex = idx
-		got, err := RunBatch(sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(got.Cells)
-		for _, c := range got.Cells {
-			seen[c.Cell]++
-		}
-	}
-	if total != len(want.Cells) {
-		t.Fatalf("shards covered %d cells, want %d", total, len(want.Cells))
-	}
-	for _, c := range want.Cells {
-		if seen[c.Cell] != 1 {
-			t.Fatalf("cell %+v covered %d times, want exactly once", c.Cell, seen[c.Cell])
-		}
-	}
-}
-
 // TestRunBatchShardedRejectsBadOptions covers the sharding option validation.
 func TestRunBatchShardedRejectsBadOptions(t *testing.T) {
 	if _, err := RunBatch(BatchOptions{ShardOwner: "w"}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("ShardOwner without SweepDir: got %v", err)
 	}
-	if _, err := RunBatch(BatchOptions{Steal: true}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("Steal without ShardOwner: got %v", err)
+	if _, err := RunBatch(BatchOptions{Resume: true}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("Resume without SweepDir or Coordinator: got %v", err)
 	}
-	if _, err := RunBatch(BatchOptions{Shards: 2, ShardIndex: 2}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("ShardIndex out of range: got %v", err)
-	}
-	if _, err := RunBatch(BatchOptions{Shards: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("negative Shards: got %v", err)
+	if _, err := RunBatch(BatchOptions{LeaseTTL: time.Second}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("LeaseTTL without ShardOwner: got %v", err)
 	}
 	if _, err := RunBatch(BatchOptions{ShardOwner: "w", SweepDir: t.TempDir(), LeaseTTL: -time.Second}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("negative LeaseTTL: got %v", err)

@@ -11,7 +11,7 @@
 // duplicated (bit-identical) work — workers retry with backoff and re-append.
 // With -dir, record logs persist across restarts in the same
 // <dir>/<store>/results.jsonl layout a filesystem sweep uses, so gatherbench
-// merge and a later FS resume understand them directly.
+// livelocks and a later FS resume understand them directly.
 //
 // The listener also serves the repo's standard observability surface:
 // /metrics (coordination counters and gauges), /progress, /debug/pprof/, and

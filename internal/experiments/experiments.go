@@ -124,33 +124,19 @@ type Config struct {
 	// LeaseTTL is the lease expiry in cooperative mode (default
 	// sweep.DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// Shards and ShardIndex statically partition the cell groups by a stable
-	// hash when Shards > 1: this process only runs groups with
-	// hash%Shards == ShardIndex. Unlike lease mode this needs no shared
-	// store, but without one each process renders only its own share.
-	Shards int
-	// ShardIndex is this process's static shard (0 <= ShardIndex < Shards).
-	ShardIndex int
-	// Steal enables lease-aware work stealing when ShardOwner and Shards are
-	// both set: a worker that drains its static share claims unclaimed or
-	// expired tail groups outside it instead of idling until peers finish.
-	// Results stay byte-identical — stealing only redistributes work.
-	Steal bool
 	// Warnf, when non-nil, receives sweep-store warnings (corrupt records
 	// skipped on load, version mismatches, checkpoint failures).
 	Warnf func(format string, args ...any)
 }
 
-// sharded reports whether any sharding mode is configured.
-func (c Config) sharded() bool { return c.ShardOwner != "" || c.Shards > 1 }
-
 // Validate checks the configuration up front and returns a clear error for
-// combinations that would otherwise fail silently — most importantly a shard
-// index outside [0, Shards), which would make every sharded run claim zero
-// cell groups and render empty tables. cmd/gatherbench calls it after flag
-// parsing; library callers should too. runCells additionally consults it and
-// degrades a misconfigured sharded run to an unsharded one (with a warning)
-// rather than doing no work.
+// combinations that would otherwise fail silently or late — most importantly
+// lease settings without a store to hold the leases (ShardOwner without
+// SweepDir or Coordinator) or without a lease owner (LeaseTTL without
+// ShardOwner), and a negative LeaseTTL that would fail every claim.
+// cmd/gatherbench calls it after flag parsing; library callers should too.
+// runCells additionally consults it and degrades a misconfigured sharded run
+// to an unsharded one (with a warning) rather than doing no work.
 func (c Config) Validate() error {
 	if c.Seeds < 0 {
 		return fmt.Errorf("experiments: Seeds must be non-negative, got %d", c.Seeds)
@@ -190,18 +176,6 @@ func (c Config) Validate() error {
 	}
 	if c.LeaseTTL > 0 && c.ShardOwner == "" {
 		return fmt.Errorf("experiments: LeaseTTL requires ShardOwner")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("experiments: Shards must be non-negative, got %d", c.Shards)
-	}
-	if c.Shards > 1 && (c.ShardIndex < 0 || c.ShardIndex >= c.Shards) {
-		return fmt.Errorf("experiments: ShardIndex must be in [0, %d), got %d", c.Shards, c.ShardIndex)
-	}
-	if c.ShardIndex != 0 && c.Shards <= 1 {
-		return fmt.Errorf("experiments: ShardIndex %d requires Shards > 1, got %d", c.ShardIndex, c.Shards)
-	}
-	if c.Steal && c.ShardOwner == "" {
-		return fmt.Errorf("experiments: Steal requires ShardOwner (stealing is arbitrated through lease files)")
 	}
 	return nil
 }
@@ -250,11 +224,10 @@ func openCoordinatorStore(coordinator, id string) (*sweep.Store, error) {
 // runCells executes an experiment's cell grid through the resumable sweep
 // layer: workload generation is memoized per (kind, n, seed), results stream
 // to SweepDir/<id> when checkpointing is on, and adaptive seed scheduling
-// grows the grid when AdaptiveCI is set. With ShardOwner or Shards set, the
-// grid runs as one worker of a multi-process sharded sweep instead (cells
-// another shard owns and no store can merge are dropped from the returned
-// slice, so partial static tables aggregate only what actually ran);
-// adaptive scheduling composes with sharding through the cross-worker
+// grows the grid when AdaptiveCI is set. With ShardOwner set, the grid runs
+// as one lease-claiming worker of a multi-process sweep instead, draining the
+// shared store until every cell is complete; adaptive scheduling composes
+// with sharding through the cross-worker
 // protocol (sweep.RunAdaptiveSharded), so a fleet converges on the same
 // data-dependent grid — and tables — as a single adaptive process. The
 // returned results are otherwise identical to engine.Run on the same cells
@@ -273,12 +246,10 @@ func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, [
 		// working, so a long degraded run still resumes after a crash.
 		c.warnf("experiments: %s: %v (running unsharded)", id, err)
 		c.ShardOwner = ""
-		c.Shards, c.ShardIndex = 0, 0
 		c.LeaseTTL = 0
-		c.Steal = false
 	}
 	opts := sweep.Options{Engine: c.engineOpts(), Cache: workload.NewCache()}
-	sharded := c.sharded()
+	sharded := c.ShardOwner != ""
 	if c.Coordinator != "" {
 		st, err := openCoordinatorStore(c.Coordinator, id)
 		if err != nil {
@@ -321,17 +292,11 @@ func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, [
 			opts.Store = st
 		}
 	}
-	if sharded && c.ShardOwner != "" && opts.Store == nil {
+	if sharded && opts.Store == nil {
 		c.warnf("experiments: %s: lease-based sharding requires a sweep store; running unsharded", id)
 		sharded = false
 	}
-	shard := sweep.Shard{
-		Owner:  c.ShardOwner,
-		TTL:    c.LeaseTTL,
-		Shards: c.Shards,
-		Index:  c.ShardIndex,
-		Steal:  c.Steal,
-	}
+	shard := sweep.Shard{Owner: c.ShardOwner, TTL: c.LeaseTTL}
 	reportShardStats := func(stats sweep.ShardStats) {
 		if stats.AppendErrs > 0 {
 			c.warnf("experiments: %s: %d results could not be checkpointed", id, stats.AppendErrs)
@@ -339,20 +304,18 @@ func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, [
 		if stats.LeaseErrs > 0 {
 			c.warnf("experiments: %s: %d cell groups ran without a lease (lease dir trouble); peers may duplicate that work", id, stats.LeaseErrs)
 		}
-		if c.ShardOwner != "" {
-			// A per-worker accounting line (on the warning stream, the only
-			// side channel next to the shared tables): how the fleet's work
-			// actually split. CI smoke jobs assert on it.
-			c.warnf("experiments: %s: worker %s executed %d cells, restored %d (claimed %d groups, stole %d, reclaimed %d leases)",
-				id, c.ShardOwner, stats.Executed, stats.Restored, stats.GroupsClaimed, stats.GroupsStolen, stats.LeasesReclaimed)
-		}
+		// A per-worker accounting line (on the warning stream, the only side
+		// channel next to the shared tables): how the fleet's work actually
+		// split. CI smoke jobs assert on it.
+		c.warnf("experiments: %s: worker %s executed %d cells, restored %d (claimed %d groups, reclaimed %d leases)",
+			id, c.ShardOwner, stats.Executed, stats.Restored, stats.GroupsClaimed, stats.LeasesReclaimed)
 	}
 	if c.AdaptiveCI > 0 {
 		ad := sweep.Adaptive{TargetCI: c.AdaptiveCI, MaxSeeds: c.AdaptiveMaxSeeds}
 		if sharded {
 			results, infos, stats := sweep.RunAdaptiveSharded(cells, opts, ad, shard)
 			reportShardStats(stats)
-			return sweep.DropNotClaimed(results), infos
+			return results, infos
 		}
 		results, infos, stats := sweep.RunAdaptive(cells, opts, ad)
 		if stats.AppendErrs > 0 {
@@ -363,7 +326,7 @@ func (c Config) runCells(id string, cells []engine.Cell) ([]engine.CellResult, [
 	if sharded {
 		results, stats := sweep.RunSharded(cells, opts, shard)
 		reportShardStats(stats)
-		return sweep.DropNotClaimed(results), nil
+		return results, nil
 	}
 	results, stats := sweep.Run(cells, opts)
 	if stats.AppendErrs > 0 {

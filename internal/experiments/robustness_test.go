@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // quickRobustCfg keeps the robustness drivers fast: gathering rarely
@@ -189,13 +190,14 @@ func TestE14ShardedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestConfigValidate covers the up-front validation (the silent-empty-table
-// bug class: a shard index outside [0, Shards) used to claim zero groups).
+// TestConfigValidate covers the up-front validation: lease settings without a
+// store or without an owner, and other combinations that would otherwise fail
+// silently or late.
 func TestConfigValidate(t *testing.T) {
 	good := []Config{
 		{},
 		{Seeds: 3, MaxEvents: 100},
-		{Shards: 2, ShardIndex: 1, SweepDir: "x", Resume: true},
+		{ShardOwner: "w1", LeaseTTL: time.Second, SweepDir: "x", Resume: true},
 		{Adversary: "crash(2)"},
 		{Coordinator: "http://localhost:9340", ShardOwner: "w1", Resume: true},
 	}
@@ -208,13 +210,10 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{Config{Shards: 2, ShardIndex: 2}, "ShardIndex must be in [0, 2)"},
-		{Config{Shards: 2, ShardIndex: 5}, "ShardIndex must be in [0, 2)"},
-		{Config{Shards: 2, ShardIndex: -1}, "ShardIndex must be in [0, 2)"},
-		{Config{ShardIndex: 1}, "requires Shards > 1"},
-		{Config{Shards: -1}, "Shards must be non-negative"},
 		{Config{ShardOwner: "w"}, "ShardOwner requires SweepDir"},
 		{Config{LeaseTTL: -1}, "LeaseTTL must be non-negative"},
+		{Config{LeaseTTL: time.Second}, "LeaseTTL requires ShardOwner"},
+		{Config{LeaseTTL: time.Second, SweepDir: "x"}, "LeaseTTL requires ShardOwner"},
 		{Config{Resume: true}, "Resume requires SweepDir"},
 		{Config{SweepDir: "x", Coordinator: "http://localhost:9340"}, "mutually exclusive"},
 		{Config{Coordinator: "localhost:9340"}, "coordinator URL must be http(s)"},
@@ -229,11 +228,12 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestRunCellsDegradesOnInvalidShardConfig: a driver handed an invalid shard
-// index must not render an empty table — it warns and runs unsharded.
+// TestRunCellsDegradesOnInvalidShardConfig: a driver handed an invalid lease
+// config must not render an empty table — it warns and runs unsharded.
 func TestRunCellsDegradesOnInvalidShardConfig(t *testing.T) {
 	cfg := quickRobustCfg
-	cfg.Shards, cfg.ShardIndex = 2, 7 // invalid: index outside [0, 2)
+	cfg.SweepDir = t.TempDir()
+	cfg.ShardOwner, cfg.LeaseTTL = "w", -time.Second // invalid: every claim would fail
 	var warnings []string
 	cfg.Warnf = func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
@@ -244,7 +244,7 @@ func TestRunCellsDegradesOnInvalidShardConfig(t *testing.T) {
 	}
 	found := false
 	for _, w := range warnings {
-		if strings.Contains(w, "ShardIndex must be in [0, 2)") {
+		if strings.Contains(w, "LeaseTTL must be non-negative") {
 			found = true
 		}
 	}

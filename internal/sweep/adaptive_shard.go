@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"errors"
 	"time"
 
 	"github.com/fatgather/fatgather/internal/engine"
@@ -133,15 +132,9 @@ func (g *adaptiveShardGroup) eval(ad Adaptive, store *Store, local map[string]St
 // are byte-identical for any fleet size, with no replica executed twice while
 // leases hold.
 //
-// Modes mirror RunSharded: cooperative mode (Shard.Owner set, requires
-// opts.Store) drains the whole sweep, waiting on peers and reclaiming expired
-// leases; with Shard.Steal a worker whose static share is exhausted claims
-// unclaimed or expired tail groups outside its share instead of idling.
-// Static mode (Shards > 1 without Owner) runs only this worker's share
-// adaptively — group trajectories are independent, so static shards need no
-// coordination — and reports foreign groups' input cells with ErrNotClaimed
-// unless a shared store already holds them. The returned GroupSeeds cover the
-// groups this worker can account for (all of them in cooperative mode).
+// Like RunSharded it requires Shard.Owner and opts.Store, and drains the
+// whole sweep, waiting on peers and reclaiming expired leases; the returned
+// GroupSeeds cover every group.
 func RunAdaptiveSharded(cells []engine.Cell, opts Options, ad Adaptive, sh Shard) ([]engine.CellResult, []GroupSeeds, ShardStats) {
 	ad = ad.withDefaults()
 	sh = sh.withDefaults()
@@ -177,11 +170,7 @@ func RunAdaptiveSharded(cells []engine.Cell, opts Options, ad Adaptive, sh Shard
 		}
 	}
 
-	if sh.Owner != "" && opts.Store != nil {
-		runAdaptiveCooperative(groups, order, eopts, ad, sh, &stats, record)
-	} else {
-		runAdaptiveStatic(cells, groups, order, eopts, ad, sh, &stats, record)
-	}
+	runAdaptiveCooperative(groups, order, eopts, ad, sh, &stats, record)
 
 	// Assemble the canonical result order — the exact order RunAdaptive
 	// emits: the input cells first, then round by round one extra replica per
@@ -190,21 +179,13 @@ func RunAdaptiveSharded(cells []engine.Cell, opts Options, ad Adaptive, sh Shard
 	pos := make(map[string]int)
 	for _, c := range cells {
 		gk := groupKeyOf(c)
-		p := pos[gk]
+		out = append(out, closed[gk].results[pos[gk]])
 		pos[gk]++
-		if pr, ok := closed[gk]; ok {
-			out = append(out, pr.results[p])
-		} else {
-			out = append(out, engine.CellResult{Cell: c, Err: ErrNotClaimed})
-		}
 	}
 	for r := 0; ; r++ {
 		emitted := false
 		for _, gk := range order {
-			pr, ok := closed[gk]
-			if !ok {
-				continue
-			}
+			pr := closed[gk]
 			idx := len(groups[gk].initial) + r
 			if idx < len(pr.results) {
 				out = append(out, pr.results[idx])
@@ -215,45 +196,31 @@ func RunAdaptiveSharded(cells []engine.Cell, opts Options, ad Adaptive, sh Shard
 			break
 		}
 	}
-	collected := 0
 	for i := range out {
 		out[i].Index = i
-		if !isNotClaimed(out[i].Err) {
-			collected++
-		}
 	}
 	// Everything collected but not executed here was served from the store —
 	// either resumed from an earlier run or appended by peers.
-	stats.Restored = collected - stats.Executed
+	stats.Restored = len(out) - stats.Executed
 
 	infos := make([]GroupSeeds, 0, len(infosByKey))
 	for _, gk := range order {
-		if info, ok := infosByKey[gk]; ok {
-			infos = append(infos, info)
-		}
+		infos = append(infos, infosByKey[gk])
 	}
 
 	stats.GroupsSkipped = len(order) - stats.GroupsClaimed
 	if opts.OnResult != nil {
 		for _, r := range out {
-			if isNotClaimed(r.Err) {
-				continue
-			}
 			opts.OnResult(r)
 		}
 	}
 	return out, infos, stats
 }
 
-// isNotClaimed reports the static-mode placeholder error.
-func isNotClaimed(err error) bool {
-	return err != nil && errors.Is(err, ErrNotClaimed)
-}
-
 // runAdaptiveCooperative is the lease-coordinated worker loop: claim open
-// groups (own share first, then — with Steal — foreign tail groups), run each
-// claimed group's seed blocks to closure against the merged store history,
-// publish adaptive-state records, and wait on peers for the rest.
+// groups, run each claimed group's seed blocks to closure against the merged
+// store history, publish adaptive-state records, and wait on peers for the
+// rest.
 func runAdaptiveCooperative(groups map[string]*adaptiveShardGroup, order []string,
 	eopts Options, ad Adaptive, sh Shard, stats *ShardStats, record func(string, adaptiveProgress)) {
 	store := eopts.Store
@@ -279,7 +246,7 @@ func runAdaptiveCooperative(groups map[string]*adaptiveShardGroup, order []strin
 	// attemptRun claims one open group and runs it to closure. It reports
 	// whether this worker made progress on the group (claimed it, or closed
 	// it leaselessly); false means a peer holds a fresh lease.
-	attemptRun := func(gk string, stealing bool) bool {
+	attemptRun := func(gk string) bool {
 		g := groups[gk]
 		l, reclaimed, err := lm.claim(gk)
 		if err != nil {
@@ -302,10 +269,7 @@ func runAdaptiveCooperative(groups map[string]*adaptiveShardGroup, order []strin
 		pr := g.eval(ad, store, local, false)
 		ran := !pr.closed
 		if ran {
-			obs.SweepGroupClaimed(stealing)
-			if stealing {
-				obsGroupSteals.Inc()
-			}
+			obs.SweepGroupClaimed()
 			var stopHB func()
 			if l != nil {
 				stopHB = l.heartbeat(sh.Heartbeat)
@@ -329,9 +293,6 @@ func runAdaptiveCooperative(groups map[string]*adaptiveShardGroup, order []strin
 				stopHB()
 			}
 			stats.GroupsClaimed++
-			if stealing {
-				stats.GroupsStolen++
-			}
 			obs.SweepGroupDone()
 		}
 		record(gk, g.eval(ad, store, local, true))
@@ -346,7 +307,6 @@ func runAdaptiveCooperative(groups map[string]*adaptiveShardGroup, order []strin
 
 	for {
 		progress := false
-		ranMine := false
 		for _, gk := range order {
 			if closed[gk] {
 				continue
@@ -362,26 +322,8 @@ func runAdaptiveCooperative(groups map[string]*adaptiveShardGroup, order []strin
 				progress = true
 				continue
 			}
-			if !sh.mine(gk) {
-				continue
-			}
-			if attemptRun(gk, false) {
+			if attemptRun(gk) {
 				progress = true
-				ranMine = true
-			}
-		}
-		// Work stealing: a worker whose static share is drained claims
-		// unclaimed or expired foreign tail groups instead of idling. Fresh
-		// foreign leases are still respected — the lease layer arbitrates,
-		// stealing only widens which groups this worker is willing to claim.
-		if sh.Steal && sh.Shards > 1 && !ranMine {
-			for _, gk := range order {
-				if closed[gk] || sh.mine(gk) {
-					continue
-				}
-				if attemptRun(gk, true) {
-					progress = true
-				}
 			}
 		}
 		obsAdaptiveOpen.Set(float64(len(order) - len(closed)))
@@ -393,54 +335,5 @@ func runAdaptiveCooperative(groups map[string]*adaptiveShardGroup, order []strin
 			time.Sleep(sh.Poll)
 		}
 		_, _ = store.Reload()
-	}
-}
-
-// runAdaptiveStatic is the coordination-free partition: adaptive trajectories
-// are independent per group, so a static shard simply runs its own groups
-// through the single-process scheduler (one call, preserving cross-group
-// parallelism) and, when a shared store is available, collects foreign groups
-// that peers already closed. It never waits.
-func runAdaptiveStatic(cells []engine.Cell, groups map[string]*adaptiveShardGroup, order []string,
-	eopts Options, ad Adaptive, sh Shard, stats *ShardStats, record func(string, adaptiveProgress)) {
-	var mine []engine.Cell
-	for _, c := range cells {
-		if sh.mine(groupKeyOf(c)) {
-			mine = append(mine, c)
-		}
-	}
-	results, infos, st := RunAdaptive(mine, eopts, ad)
-	stats.Executed = st.Executed
-	stats.AppendErrs = st.AppendErrs
-
-	byGroup := make(map[string][]engine.CellResult)
-	for _, r := range results {
-		gk := groupKeyOf(r.Cell)
-		byGroup[gk] = append(byGroup[gk], r)
-	}
-	infoByKey := make(map[string]GroupSeeds, len(infos))
-	for _, info := range infos {
-		infoByKey[info.Key] = info
-	}
-	for _, gk := range order {
-		if !sh.mine(gk) {
-			// A shared store may already hold a foreign group's full
-			// trajectory (a peer shard ran it); collect it, else leave the
-			// group to its shard.
-			if eopts.Store != nil {
-				if pr := groups[gk].eval(ad, eopts.Store, nil, true); pr.closed {
-					record(gk, pr)
-				}
-			}
-			continue
-		}
-		info := infoByKey[gk]
-		record(gk, adaptiveProgress{
-			results:   byGroup[gk],
-			seeds:     info.Seeds,
-			halfWidth: info.HalfWidth,
-			closed:    true,
-		})
-		stats.GroupsClaimed++
 	}
 }

@@ -222,133 +222,6 @@ func TestRunAdaptiveShardedResumesStoreWithoutStateRecords(t *testing.T) {
 	sameAdaptiveRun(t, "late joiner", res, wantRes, infos, wantInfos)
 }
 
-// emptyShardIndex finds a static shard index that owns none of the cell
-// groups (with more shards than groups one always exists), so tests can pin
-// the behavior of a worker whose own partition is empty.
-func emptyShardIndex(t *testing.T, cells []engine.Cell, shards int) int {
-	t.Helper()
-	owned := make(map[int]bool)
-	for _, c := range cells {
-		owned[int(shardHash(groupKeyOf(c))%uint64(shards))] = true
-	}
-	for idx := 0; idx < shards; idx++ {
-		if !owned[idx] {
-			return idx
-		}
-	}
-	t.Fatalf("no empty shard index among %d shards", shards)
-	return -1
-}
-
-// TestRunShardedStealsTailGroups pins lease-aware work stealing on the fixed
-// grid: a worker whose static share is empty — the extreme "drained
-// partition" — must, with Steal set, claim and complete every tail group
-// instead of waiting forever, and the stolen results are byte-identical to
-// the unsharded run.
-func TestRunShardedStealsTailGroups(t *testing.T) {
-	cells := smallCells(1)
-	ref := engine.Run(cells, engine.Options{})
-
-	shards := 16 // more shards than groups: an empty share must exist
-	idx := emptyShardIndex(t, cells, shards)
-
-	dir := t.TempDir()
-	st, err := OpenShared(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	sh := fastShard("thief")
-	sh.Shards, sh.Index, sh.Steal = shards, idx, true
-	res, stats := RunSharded(cells, Options{Store: st}, sh)
-	if stats.GroupsStolen == 0 {
-		t.Fatal("empty-share worker stole no groups")
-	}
-	if stats.GroupsStolen != stats.GroupsClaimed {
-		t.Fatalf("GroupsStolen = %d, GroupsClaimed = %d; every claimed group lay outside the share", stats.GroupsStolen, stats.GroupsClaimed)
-	}
-	if stats.Executed != len(cells) {
-		t.Fatalf("Executed = %d, want %d", stats.Executed, len(cells))
-	}
-	for i := range cells {
-		sameResult(t, fmt.Sprintf("cell %d", i), res[i], ref[i])
-	}
-}
-
-// TestRunAdaptiveShardedStealsTailGroups is the same drained-partition
-// stealing contract on the adaptive path: the thief completes every foreign
-// group's full adaptive trajectory, byte-identical to the unsharded adaptive
-// run.
-func TestRunAdaptiveShardedStealsTailGroups(t *testing.T) {
-	cells := adaptiveShardCells()
-	ad := tightAdaptive()
-	wantRes, wantInfos, _ := RunAdaptive(cells, Options{}, ad)
-
-	shards := 32
-	idx := emptyShardIndex(t, cells, shards)
-
-	dir := t.TempDir()
-	st, err := OpenShared(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	sh := fastShard("thief")
-	sh.Shards, sh.Index, sh.Steal = shards, idx, true
-	res, infos, stats := RunAdaptiveSharded(cells, Options{Store: st}, ad, sh)
-	if stats.GroupsStolen == 0 {
-		t.Fatal("empty-share adaptive worker stole no groups")
-	}
-	if stats.Executed != len(wantRes) {
-		t.Fatalf("Executed = %d, want %d", stats.Executed, len(wantRes))
-	}
-	sameAdaptiveRun(t, "thief", res, wantRes, infos, wantInfos)
-}
-
-// TestRunAdaptiveShardedStaticPartition pins static adaptive mode (no owner,
-// no shared anything): each shard runs the full adaptive trajectory of
-// exactly its own groups, reports foreign input cells as not claimed, and the
-// two shards' group schedules union to the unsharded schedule.
-func TestRunAdaptiveShardedStaticPartition(t *testing.T) {
-	cells := adaptiveShardCells()
-	ad := tightAdaptive()
-	_, wantInfos, _ := RunAdaptive(cells, Options{}, ad)
-	wantByKey := make(map[string]GroupSeeds)
-	for _, info := range wantInfos {
-		wantByKey[info.Key] = info
-	}
-
-	seen := make(map[string]int)
-	for idx := 0; idx < 2; idx++ {
-		res, infos, stats := RunAdaptiveSharded(cells, Options{}, ad, Shard{Shards: 2, Index: idx})
-		if stats.GroupsClaimed != len(infos) {
-			t.Fatalf("shard %d claimed %d groups but reported %d schedules", idx, stats.GroupsClaimed, len(infos))
-		}
-		for _, info := range infos {
-			seen[info.Key]++
-			if want := wantByKey[info.Key]; !reflect.DeepEqual(info, want) {
-				t.Fatalf("shard %d group %s schedule %+v, want %+v", idx, info.Key, info, want)
-			}
-		}
-		kept := DropNotClaimed(append([]engine.CellResult(nil), res...))
-		wantKept := 0
-		for _, info := range infos {
-			wantKept += info.Seeds
-		}
-		if len(kept) != wantKept {
-			t.Fatalf("shard %d kept %d results, want %d (its groups' full trajectories)", idx, len(kept), wantKept)
-		}
-	}
-	if len(seen) != len(wantInfos) {
-		t.Fatalf("shards covered %d groups, want %d", len(seen), len(wantInfos))
-	}
-	for key, n := range seen {
-		if n != 1 {
-			t.Fatalf("group %s covered by %d shards, want exactly 1", key, n)
-		}
-	}
-}
-
 // TestAdaptiveStatePublisherRoundTrip pins the record format: publish, read
 // back (including the +Inf half-width of an all-failed group), reject torn
 // and version-mismatched records.

@@ -145,7 +145,7 @@ func NewFSBackend(dir string) (*FSBackend, error) {
 
 // newReadOnlyFSBackend wires an FSBackend without an append handle (and
 // without creating anything): AppendRecord and RewriteRecords fail, reads
-// work. OpenReadOnly uses it so merge sources are never modified.
+// work. OpenReadOnly uses it so scanned stores are never modified.
 func newReadOnlyFSBackend(dir string) *FSBackend {
 	return &FSBackend{
 		dir:  dir,

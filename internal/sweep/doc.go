@@ -1,5 +1,5 @@
 // Package sweep is the persistent, resumable and shardable layer over the
-// batch engine. It provides four building blocks:
+// batch engine. It provides five building blocks:
 //
 //   - Store: an append-only JSONL checkpoint of completed cells. Every
 //     engine.CellResult streams to disk as its worker finishes, and on
@@ -11,16 +11,16 @@
 //   - RunAdaptive: adaptive seed scheduling on top of Run — each cell group
 //     keeps receiving seed replicas until the 95% confidence interval
 //     half-width of its metric is tight enough, or a cap is reached.
-//   - RunSharded: multi-process (or multi-host, over a shared filesystem)
-//     sweeps. Each worker claims cell groups through lease files in the
-//     sweep directory (O_EXCL create with owner id and expiry timestamp),
-//     heartbeats its lease while running, skips groups completed in the
-//     store or freshly leased by peers, and reclaims expired leases so a
-//     killed worker's cells are re-run. Cooperating workers drain the sweep
-//     and every one of them returns the complete result set, byte-identical
-//     to a single-process run. With Shard.Steal, a worker that drains its
-//     static share claims unclaimed or expired tail groups outside it
-//     instead of idling.
+//   - RunSharded: multi-process (or multi-host) sweeps, the only way to
+//     split one sweep across processes. Each worker claims cell groups
+//     through the store's Backend — lease files in the sweep directory
+//     (atomic link with owner id and expiry timestamp) or gatherd's lease
+//     table (netbackend) when hosts share no filesystem — heartbeats its
+//     lease while running, skips groups completed in the store or freshly
+//     leased by peers, and reclaims expired leases so a killed worker's
+//     cells are re-run. Cooperating workers drain the sweep and every one of
+//     them returns the complete result set, byte-identical to a
+//     single-process run.
 //   - RunAdaptiveSharded: RunAdaptive across a cooperating fleet. The
 //     adaptive trajectory of a cell group is a deterministic function of its
 //     stored per-replica results, so any worker can claim a group, run its

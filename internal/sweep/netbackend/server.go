@@ -85,7 +85,7 @@ type Server struct {
 
 // NewServer creates a coordination server. A non-empty dir persists each
 // store's record log under dir/<store>/results.jsonl — the layout gatherbench
-// merge and a filesystem resume already understand — and reloads it on
+// livelocks and a filesystem resume already understand — and reloads it on
 // restart; leases and adaptive state are kept in memory only (see
 // storeState).
 func NewServer(dir string) (*Server, error) {

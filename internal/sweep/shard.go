@@ -21,15 +21,7 @@ var (
 	obsLeaseClaims   = obs.NewCounter("fatgather_sweep_lease_claims_total")
 	obsLeaseRenewals = obs.NewCounter("fatgather_sweep_lease_renewals_total")
 	obsLeaseReclaims = obs.NewCounter("fatgather_sweep_lease_reclaims_total")
-	obsGroupSteals   = obs.NewCounter("fatgather_sweep_group_steals_total")
 )
-
-// ErrNotClaimed marks a cell that a statically sharded worker skipped because
-// the cell's group belongs to another shard and no shared store was available
-// to merge the peer's result from. Callers that render partial tables filter
-// these results out; in cooperative (lease) mode they never occur, because the
-// coordinator drains the store until every cell is complete.
-var ErrNotClaimed = errors.New("sweep: cell not claimed by this shard")
 
 // Default lease-layer timing knobs (see Shard).
 const (
@@ -44,24 +36,16 @@ const (
 // leasesDir is the subdirectory of a sweep directory that holds lease files.
 const leasesDir = "leases"
 
-// Shard configures one worker of a multi-process sharded sweep. Two modes
-// compose:
-//
-//   - Cooperative (lease-based): Owner names this worker uniquely, and cell
-//     groups are claimed at run time through lease files in the shared sweep
-//     directory — whichever worker gets to a group first runs it, dead
-//     workers' leases expire and are reclaimed. Requires a Store.
-//   - Static: Shards/Index partition the cell groups up front by a stable
-//     hash; this worker only ever runs groups with hash%Shards == Index.
-//     Works without a shared store (each worker renders its own share).
-//
-// When both are set, the worker claims leases only inside its static share
-// and waits for peers to fill in the rest.
+// Shard configures one lease-claiming worker of a multi-process sweep. Cell
+// groups are claimed at run time through the store's backend — lease files
+// in the shared sweep directory, or gatherd's lease table — so whichever
+// worker gets to a group first runs it, and dead workers' leases expire and
+// are reclaimed.
 type Shard struct {
-	// Owner is this worker's unique id (hostname+pid works well). Non-empty
-	// Owner enables cooperative lease-based claiming and makes the run drain
-	// the whole sweep: cells completed by peers are merged from the shared
-	// store, so every cooperating worker returns the complete result set.
+	// Owner is this worker's unique id (hostname+pid works well); required.
+	// The run drains the whole sweep: cells completed by peers are merged
+	// from the shared store, so every cooperating worker returns the
+	// complete result set.
 	Owner string
 	// TTL is how long a lease outlives its last heartbeat (default
 	// DefaultLeaseTTL). Shorter TTLs reclaim dead workers' groups faster but
@@ -73,22 +57,6 @@ type Shard struct {
 	// re-tries claims while peers hold the remaining groups (default
 	// DefaultPoll).
 	Poll time.Duration
-	// Shards and Index configure static sharding: when Shards > 1, this
-	// worker only runs cell groups whose stable hash maps to Index
-	// (0 <= Index < Shards). Zero or one means no static partition.
-	Shards int
-	// Index is this worker's static shard index.
-	Index int
-	// Steal enables lease-aware work stealing in cooperative mode with a
-	// static partition: once this worker's own share has no claimable group
-	// left, it claims unclaimed or expired tail groups outside its share
-	// instead of idling until peers finish. Fresh foreign leases are still
-	// respected (the lease layer keeps arbitrating), so stolen groups run
-	// exactly once fleet-wide and results stay byte-identical — stealing
-	// changes who does the work, never what comes out. Requires Owner; a
-	// no-op without a static partition (every group is already this
-	// worker's).
-	Steal bool
 }
 
 func (sh Shard) withDefaults() Shard {
@@ -104,17 +72,9 @@ func (sh Shard) withDefaults() Shard {
 	return sh
 }
 
-// mine reports whether a cell group falls in this worker's static share.
-func (sh Shard) mine(groupKey string) bool {
-	if sh.Shards <= 1 {
-		return true
-	}
-	return int(shardHash(groupKey)%uint64(sh.Shards)) == sh.Index
-}
-
-// shardHash maps a group key to a stable 64-bit hash, used both for static
-// shard assignment and for lease file names. FNV-1a: stable across runs,
-// builds and hosts, which is what makes the static partition deterministic.
+// shardHash maps a group key to a stable 64-bit hash, used for lease file
+// names. FNV-1a: stable across runs, builds and hosts, so every worker names
+// a group's lease file alike.
 func shardHash(groupKey string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(groupKey))
@@ -130,35 +90,17 @@ type ShardStats struct {
 	// GroupsClaimed counts the cell groups this worker claimed and ran.
 	GroupsClaimed int
 	// GroupsSkipped counts the groups this worker did not run: completed or
-	// freshly leased by peers, or outside its static share.
+	// freshly leased by peers.
 	GroupsSkipped int
 	// LeasesReclaimed counts expired (or corrupt) leases this worker took
 	// over — each one is a dead peer's group being re-run.
 	LeasesReclaimed int
-	// GroupsStolen counts the claimed groups that lay outside this worker's
-	// static share (Shard.Steal): tail work taken over from the fleet once
-	// the worker's own share was drained. Always <= GroupsClaimed.
-	GroupsStolen int
 	// LeaseErrs counts groups whose lease could not be claimed or created at
 	// all (lease directory unwritable, I/O errors). Such groups run without
 	// a lease — liveness and correctness never depend on lease arbitration,
 	// only work-splitting does — so a positive count means possible
 	// duplicated work, and callers should surface it as a warning.
 	LeaseErrs int
-}
-
-// DropNotClaimed filters out the results a static shard did not cover
-// (Err == ErrNotClaimed), in place. Cooperative (lease) runs never produce
-// such results; static shards without a shared store use this to aggregate
-// only what actually ran.
-func DropNotClaimed(results []engine.CellResult) []engine.CellResult {
-	kept := results[:0]
-	for _, r := range results {
-		if !errors.Is(r.Err, ErrNotClaimed) {
-			kept = append(kept, r)
-		}
-	}
-	return kept
 }
 
 // leaseRecord is the JSON body of a lease file.
@@ -179,15 +121,6 @@ type leaseManager struct {
 	owner string
 	ttl   time.Duration
 	now   func() time.Time
-}
-
-func newLeaseManager(sweepDir string, sh Shard) *leaseManager {
-	return &leaseManager{
-		dir:   filepath.Join(sweepDir, leasesDir),
-		owner: sh.Owner,
-		ttl:   sh.TTL,
-		now:   time.Now,
-	}
 }
 
 // pathFor returns the lease file path for a cell group.
@@ -457,16 +390,14 @@ func (l *claimed) heartbeat(every time.Duration) (stop func()) {
 }
 
 // RunSharded executes the cells as one worker of a multi-process sweep: cell
-// groups (cells that differ only in their seeds) are claimed through lease
-// files in the shared sweep directory, groups completed or freshly leased by
-// peers are skipped, and expired leases are reclaimed so a killed worker's
-// groups re-run. In cooperative mode (Shard.Owner set, which requires
-// opts.Store) the call drains the whole sweep: it keeps claiming, re-reading
-// the shared store and waiting on peers until every cell is complete, so the
-// returned results — and the OnResult stream, emitted at the end in index
-// order — are byte-identical to a single-process run no matter how many
-// workers cooperate. In static mode without a store, cells outside this
-// worker's share come back with Err == ErrNotClaimed.
+// groups (cells that differ only in their seeds) are claimed through the
+// store's leases, groups completed or freshly leased by peers are skipped,
+// and expired leases are reclaimed so a killed worker's groups re-run. The
+// call drains the whole sweep: it keeps claiming, re-reading the shared
+// store and waiting on peers until every cell is complete, so the returned
+// results — and the OnResult stream, emitted at the end in index order — are
+// byte-identical to a single-process run no matter how many workers
+// cooperate. Shard.Owner and opts.Store are required.
 //
 // Safety does not depend on the leases: every record in the store is keyed by
 // the cell's identity and bit-identical across workers, so the worst a lost
@@ -494,10 +425,7 @@ func RunSharded(cells []engine.Cell, opts Options, sh Shard) ([]engine.CellResul
 
 	obs.SweepGroups(len(order))
 
-	var lm *claimer
-	if sh.Owner != "" && opts.Store != nil {
-		lm = newClaimer(opts.Store.Backend(), sh)
-	}
+	lm := newClaimer(opts.Store.Backend(), sh)
 
 	// Inner runs go through the resumable layer but must not stream: the
 	// sharded coordinator emits the merged results at the end, in index
@@ -511,10 +439,6 @@ func RunSharded(cells []engine.Cell, opts Options, sh Shard) ([]engine.CellResul
 		all := true
 		for _, i := range g {
 			if have[i] {
-				continue
-			}
-			if opts.Store == nil {
-				all = false
 				continue
 			}
 			if st, ok := opts.Store.Lookup(keys[i]); ok {
@@ -577,21 +501,10 @@ func RunSharded(cells []engine.Cell, opts Options, sh Shard) ([]engine.CellResul
 	// fallback. A false return means a peer holds a fresh lease.
 	visit := func(gk string) bool {
 		g := groupIdx[gk]
-		// stolen marks tail work taken outside this worker's static share;
-		// recorded live for /progress and the steal counter.
-		stolen := sh.Shards > 1 && !sh.mine(gk)
 		markRun := func() {
 			ran[gk] = true
-			if stolen {
-				obsGroupSteals.Inc()
-			}
-			obs.SweepGroupClaimed(stolen)
+			obs.SweepGroupClaimed()
 			obs.SweepGroupDone()
-		}
-		if lm == nil {
-			runGroup(g)
-			markRun()
-			return true
 		}
 		l, reclaimed, err := lm.claim(gk)
 		if err != nil {
@@ -615,9 +528,7 @@ func RunSharded(cells []engine.Cell, opts Options, sh Shard) ([]engine.CellResul
 		// The peer that held this lease may have finished the group
 		// between our store scan and the claim: re-read the store so
 		// only genuinely missing cells run.
-		if opts.Store != nil {
-			_, _ = opts.Store.Reload()
-		}
+		_, _ = opts.Store.Reload()
 		if !fillFromStore(g) {
 			stopHB := l.heartbeat(sh.Heartbeat)
 			runGroup(g)
@@ -632,78 +543,35 @@ func RunSharded(cells []engine.Cell, opts Options, sh Shard) ([]engine.CellResul
 	}
 	for {
 		progress := false
-		actedOwn := false
 		for _, gk := range order {
 			if fillFromStore(groupIdx[gk]) {
 				continue
 			}
-			if !sh.mine(gk) {
-				continue
-			}
 			if visit(gk) {
 				progress = true
-				actedOwn = true
-			}
-		}
-		// Work stealing: once this worker's static share offers nothing to
-		// claim, take over unclaimed or expired tail groups outside the
-		// share instead of idling until their shard catches up. The lease
-		// layer keeps arbitrating — fresh foreign leases are respected — so
-		// a stolen group still runs exactly once fleet-wide.
-		if lm != nil && sh.Steal && sh.Shards > 1 && !actedOwn {
-			for _, gk := range order {
-				if sh.mine(gk) || fillFromStore(groupIdx[gk]) {
-					continue
-				}
-				if visit(gk) {
-					progress = true
-				}
 			}
 		}
 		if allDone() {
 			break
 		}
-		if lm == nil {
-			// Static mode without leases never waits: cells outside this
-			// worker's share (and peers' unfinished work) are reported as
-			// not claimed.
-			break
-		}
-		// Cooperative mode drains the sweep: peers hold the remaining
-		// groups, so wait for their records to land in the shared store (or
-		// for their leases to expire and become reclaimable).
+		// Peers hold the remaining groups: wait for their records to land in
+		// the shared store (or for their leases to expire and become
+		// reclaimable).
 		if !progress {
 			time.Sleep(sh.Poll)
 		}
-		if opts.Store != nil {
-			_, _ = opts.Store.Reload()
-		}
+		_, _ = opts.Store.Reload()
 	}
 
 	for _, gk := range order {
 		if ran[gk] {
 			stats.GroupsClaimed++
-			if !sh.mine(gk) {
-				stats.GroupsStolen++
-			}
 		} else {
 			stats.GroupsSkipped++
 		}
 	}
-	for i := range cells {
-		if !have[i] {
-			results[i] = engine.CellResult{Index: i, Cell: cells[i], Err: ErrNotClaimed}
-		}
-	}
 	if opts.OnResult != nil {
-		// Not-claimed placeholders are a static-mode artifact of the returned
-		// slice, not real cell outcomes: the stream stays a (possibly
-		// partial) prefix-ordered view of what an uninterrupted run would
-		// emit, so collectors never see the sentinel as an errored run.
 		for _, r := range results {
-			if errors.Is(r.Err, ErrNotClaimed) {
-				continue
-			}
 			opts.OnResult(r)
 		}
 	}

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,6 +16,17 @@ import (
 // never lose a lease, short enough poll that waiting is cheap.
 func fastShard(owner string) Shard {
 	return Shard{Owner: owner, TTL: 5 * time.Second, Poll: 10 * time.Millisecond}
+}
+
+// newLeaseManager builds a lease-file manager over a sweep directory, as
+// FSBackend does for one (owner, ttl) pair, with the real clock.
+func newLeaseManager(sweepDir string, sh Shard) *leaseManager {
+	return &leaseManager{
+		dir:   filepath.Join(sweepDir, leasesDir),
+		owner: sh.Owner,
+		ttl:   sh.TTL,
+		now:   time.Now,
+	}
 }
 
 // writeStaleLease plants an expired lease for a cell group, as a worker
@@ -304,68 +314,6 @@ func TestLeaseCorruptFileIsReclaimed(t *testing.T) {
 	}
 	if l == nil || !reclaimed {
 		t.Fatalf("corrupt lease not reclaimed (lease %v, reclaimed %v)", l, reclaimed)
-	}
-}
-
-// TestRunShardedStaticPartition pins static mode without a store: the two
-// shards run disjoint, complementary subsets, skipped cells carry
-// ErrNotClaimed, and the union matches the reference run.
-func TestRunShardedStaticPartition(t *testing.T) {
-	cells := smallCells(1)
-	ref := engine.Run(cells, engine.Options{})
-
-	covered := make([]int, len(cells))
-	for idx := 0; idx < 2; idx++ {
-		res, stats := RunSharded(cells, Options{}, Shard{Shards: 2, Index: idx})
-		if stats.Restored != 0 {
-			t.Fatalf("shard %d restored %d cells without a store", idx, stats.Restored)
-		}
-		for i := range cells {
-			if errors.Is(res[i].Err, ErrNotClaimed) {
-				continue
-			}
-			covered[i]++
-			sameResult(t, fmt.Sprintf("shard %d cell %d", idx, i), res[i], ref[i])
-		}
-	}
-	for i, c := range covered {
-		if c != 1 {
-			t.Fatalf("cell %d covered by %d shards, want exactly 1", i, c)
-		}
-	}
-}
-
-// TestRunShardedStaticWithStoreMerges pins the static+store composition: a
-// second shard run over the same directory restores the first shard's cells
-// and completes the rest, ending with the full result set.
-func TestRunShardedStaticWithStoreMerges(t *testing.T) {
-	cells := smallCells(1)
-	ref := engine.Run(cells, engine.Options{})
-	dir := t.TempDir()
-
-	st0, err := OpenShared(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats0 := RunSharded(cells, Options{Store: st0}, Shard{Shards: 2, Index: 0})
-	st0.Close()
-	if stats0.Executed == 0 || stats0.Executed == len(cells) {
-		t.Fatalf("shard 0 executed %d of %d cells, want a strict subset", stats0.Executed, len(cells))
-	}
-
-	// Shard 1 (lease mode) waits for shard 0's share — which is already in
-	// the store — and runs only its own.
-	st1, err := OpenShared(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st1.Close()
-	res, stats1 := RunSharded(cells, Options{Store: st1}, Shard{Owner: "b", Shards: 2, Index: 1, TTL: 5 * time.Second, Poll: 5 * time.Millisecond})
-	if stats1.Executed != len(cells)-stats0.Executed {
-		t.Fatalf("shard 1 executed %d cells, want %d", stats1.Executed, len(cells)-stats0.Executed)
-	}
-	for i := range cells {
-		sameResult(t, fmt.Sprintf("cell %d", i), res[i], ref[i])
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 
 // Telemetry (internal/obs): write-only handles, one-way contract. Store
 // warnings additionally go through the obs logger at load time, so corrupt-
-// line skips are visible on every path that opens a store (resume, merge,
-// read-only scans) — not only where a caller remembers to print Warnings().
+// line skips are visible on every path that opens a store (resume, shared
+// sweeps, read-only scans) — not only where a caller remembers to print
+// Warnings().
 var (
 	obsCorruptLines   = obs.NewCounter("fatgather_sweep_store_corrupt_lines_total")
 	obsSchemaMismatch = obs.NewCounter("fatgather_sweep_store_schema_mismatch_total")
@@ -195,8 +196,8 @@ func Open(dir string) (*Store, error) { return open(dir, false) }
 // lines are skipped with a warning, and a schema/engine version mismatch
 // discards the loaded set (with a warning) but leaves the file untouched.
 // Append and Reset fail on the returned store; Lookup, Keys, Done and
-// Warnings work. The merge tool reads its sources this way so that a
-// version-mismatched source is rejected, never rewritten.
+// Warnings work. gatherbench livelocks scans stores this way so that a
+// version-mismatched store is reported, never rewritten.
 func OpenReadOnly(dir string) (*Store, error) {
 	fi, err := os.Stat(dir)
 	if err != nil {
@@ -435,7 +436,7 @@ func (s *Store) Append(key string, r engine.CellResult) error {
 }
 
 // Keys returns the stored cell keys in sorted order (a stable iteration
-// order for tools that copy stores, like the merge tool).
+// order for tools that scan stores, like gatherbench livelocks).
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

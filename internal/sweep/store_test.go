@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -367,5 +368,130 @@ func TestStoreReloadIncremental(t *testing.T) {
 	}
 	if fresh, err := mine.Reload(); err != nil || fresh != 0 {
 		t.Fatalf("post-shrink Reload: fresh=%d err=%v, want 0 (all known)", fresh, err)
+	}
+}
+
+// fourSeedCells is a small single-group grid of four seeds.
+func fourSeedCells(t *testing.T) []engine.Cell {
+	t.Helper()
+	var cells []engine.Cell
+	for seed := int64(1); seed <= 4; seed++ {
+		cells = append(cells, engine.Cell{
+			Workload: workload.KindClustered, N: 3, WorkloadSeed: seed,
+			Adversary: "fair", AdversarySeed: seed, MaxEvents: 500,
+		})
+	}
+	return cells
+}
+
+func runInto(t *testing.T, dir string, cells []engine.Cell) {
+	t.Helper()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, stats := Run(cells, Options{Store: st}); stats.AppendErrs > 0 {
+		t.Fatalf("%d append errors", stats.AppendErrs)
+	}
+}
+
+// TestOpenReadOnlyDoesNotCompactOrAppend pins the read-only open that
+// gatherbench livelocks scans stores with: a torn line is skipped with a
+// warning, appends fail, and the file is left byte-for-byte untouched.
+func TestOpenReadOnlyDoesNotCompactOrAppend(t *testing.T) {
+	dir := t.TempDir()
+	runInto(t, dir, fourSeedCells(t)[:1])
+	// Corrupt trailing line: an exclusive Open would compact it away.
+	path := filepath.Join(dir, resultsFile)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"torn`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done() != 1 {
+		t.Fatalf("read-only store loaded %d cells, want 1", st.Done())
+	}
+	if err := st.Append("x", engine.CellResult{}); err == nil {
+		t.Fatal("read-only store accepted an append")
+	}
+	warned := false
+	for _, w := range st.Warnings() {
+		if strings.Contains(w, "corrupt") {
+			warned = true
+		}
+	}
+	if !warned {
+		t.Fatal("corrupt line produced no warning")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("OpenReadOnly modified the store file")
+	}
+}
+
+func TestStoreKeysSortedAndComplete(t *testing.T) {
+	dir := t.TempDir()
+	cells := fourSeedCells(t)
+	runInto(t, dir, cells)
+	st, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := st.Keys()
+	if len(keys) != len(cells) {
+		t.Fatalf("%d keys, want %d", len(keys), len(cells))
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			t.Fatalf("keys not sorted: %q before %q", keys[i-1], keys[i])
+		}
+	}
+	for _, c := range cells {
+		if _, ok := st.Lookup(c.Key()); !ok {
+			t.Fatalf("key %q missing", c.Key())
+		}
+	}
+}
+
+// TestOpenReadOnlyRejectsVersionMismatch: a store written by a different
+// engine version loads as empty with a warning, and the read-only open
+// leaves the stale file on disk for inspection instead of discarding it.
+func TestOpenReadOnlyRejectsVersionMismatch(t *testing.T) {
+	dir := t.TempDir()
+	stale := `{"schema":1,"engine":"fatgather-engine/0-stale","key":"k1","elapsed_ns":1}` + "\n"
+	path := filepath.Join(dir, resultsFile)
+	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done() != 0 {
+		t.Fatalf("Done = %d for a stale-version store, want 0", st.Done())
+	}
+	warns := st.Warnings()
+	if len(warns) == 0 || !strings.Contains(warns[0], "mismatch") {
+		t.Fatalf("expected mismatch warning, got %v", warns)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil || string(data) != stale {
+		t.Fatalf("OpenReadOnly modified a stale-version store: %q, %v", data, err)
 	}
 }
