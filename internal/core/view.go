@@ -110,19 +110,20 @@ func buildHullInfo(v View) *hullInfo {
 // angle around the interior point.
 func orderOnHull(all, corners []geom.Vec, slack float64, interior geom.Vec) []geom.Vec {
 	var onHull []geom.Vec
+	within := geom.NewDistBound(slack)
 	switch len(corners) {
 	case 0:
 		return nil
 	case 1:
 		for _, p := range all {
-			if p.Dist(corners[0]) <= slack {
+			if within.Within(p.Sub(corners[0])) {
 				onHull = append(onHull, p)
 			}
 		}
 		return onHull
 	case 2:
 		for _, p := range all {
-			if geom.DistancePointSegment(p, corners[0], corners[1]) <= slack {
+			if within.SegmentWithin(p, corners[0], corners[1]) {
 				onHull = append(onHull, p)
 			}
 		}
@@ -132,9 +133,14 @@ func orderOnHull(all, corners []geom.Vec, slack float64, interior geom.Vec) []ge
 		})
 		return onHull
 	}
+	// A point is within slack of the boundary when it is within slack of
+	// some edge: the same verdict as comparing the minimum edge distance.
 	for _, p := range all {
-		if distToHullBoundary(p, corners) <= slack {
-			onHull = append(onHull, p)
+		for i := range corners {
+			if within.SegmentWithin(p, corners[i], corners[(i+1)%len(corners)]) {
+				onHull = append(onHull, p)
+				break
+			}
 		}
 	}
 	// Order by position along the hull boundary (edge index plus the
@@ -156,49 +162,38 @@ func orderOnHull(all, corners []geom.Vec, slack float64, interior geom.Vec) []ge
 }
 
 // boundaryKey maps a point near the hull boundary to a monotone parameter
-// along the boundary: (index of the closest edge) + (fraction along it).
+// along the boundary: (index of the closest edge) + (fraction along it). The
+// closest edge is the first one whose distance is smaller than every earlier
+// one's (and finite), compared on squared lengths through geom.NormLess.
 func boundaryKey(p geom.Vec, corners []geom.Vec) float64 {
 	n := len(corners)
-	bestEdge := 0
-	bestDist := math.Inf(1)
-	bestT := 0.0
+	bestEdge := -1
+	var bestOff, bestCP geom.Vec // offset p-cp and closest point of the best edge
 	for i := 0; i < n; i++ {
-		a := corners[i]
-		b := corners[(i+1)%n]
-		cp := geom.ClosestPointOnSegment(p, a, b)
-		d := p.Dist(cp)
-		if d < bestDist {
-			bestDist = d
-			bestEdge = i
-			length := a.Dist(b)
-			if length < geom.Eps {
-				bestT = 0
-			} else {
-				bestT = geom.Clamp(cp.Sub(a).Dot(b.Sub(a))/(length*length), 0, 0.999999)
+		cp := geom.ClosestPointOnSegment(p, corners[i], corners[(i+1)%n])
+		off := p.Sub(cp)
+		if bestEdge < 0 && finiteNorm(off) || bestEdge >= 0 && geom.NormLess(off, bestOff) {
+			bestEdge, bestOff, bestCP = i, off, cp
+			if off.X == 0 && off.Y == 0 {
+				break // no later edge is strictly closer than a zero offset
 			}
 		}
 	}
-	return float64(bestEdge) + bestT
+	if bestEdge < 0 {
+		return 0
+	}
+	a, b := corners[bestEdge], corners[(bestEdge+1)%n]
+	length := a.Dist(b)
+	if length < geom.Eps {
+		return float64(bestEdge)
+	}
+	return float64(bestEdge) + geom.Clamp(bestCP.Sub(a).Dot(b.Sub(a))/(length*length), 0, 0.999999)
 }
 
-// distToHullBoundary returns the distance from p to the boundary of the
-// convex polygon given by its corner vertices.
-func distToHullBoundary(p geom.Vec, corners []geom.Vec) float64 {
-	n := len(corners)
-	if n == 0 {
-		return math.Inf(1)
-	}
-	if n == 1 {
-		return p.Dist(corners[0])
-	}
-	best := math.Inf(1)
-	for i := 0; i < n; i++ {
-		d := geom.DistancePointSegment(p, corners[i], corners[(i+1)%n])
-		if d < best {
-			best = d
-		}
-	}
-	return best
+// finiteNorm reports whether v.Norm() < +Inf. A finite squared length means
+// coordinates below 1.4e154 in magnitude, whose Hypot is finite.
+func finiteNorm(v geom.Vec) bool {
+	return v.Norm2() <= math.MaxFloat64 || v.Norm() < math.Inf(1)
 }
 
 // SelfOnHull reports whether the observer is on the hull boundary (within

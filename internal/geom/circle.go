@@ -50,8 +50,25 @@ func DiscsOverlap(a, b Vec, r, tol float64) bool {
 
 // DiscsTangent reports whether the discs of radius r centered at a and b are
 // tangent within tolerance tol (center distance within tol of 2r).
+//
+// The test is decided on the squared center distance against the annulus
+// bounds 2r-tol and 2r+tol whenever 0 <= tol <= r; there the annulus is
+// wide enough next to 2r that a length outside the filter band around each
+// bound also lands on the same side after the rounded subtraction.
 func DiscsTangent(a, b Vec, r, tol float64) bool {
-	return math.Abs(a.Dist(b)-2*r) <= tol
+	d := a.Sub(b)
+	if 0 <= tol && tol <= r {
+		s := d.Norm2()
+		inner, innerOK := NewDistBound(2*r - tol).decide(s)
+		outer, outerOK := NewDistBound(2*r + tol).decide(s)
+		if innerOK && inner || outerOK && !outer {
+			return false
+		}
+		if innerOK && outerOK {
+			return true
+		}
+	}
+	return math.Abs(d.Norm()-2*r) <= tol
 }
 
 // SegmentIntersectsDisc reports whether the closed segment [a, b] intersects

@@ -102,7 +102,7 @@ func (c *Cache) Move(i int, p geom.Vec) {
 		c.setVis(i, j, c.pairVisible(i, j))
 		c.setVis(j, i, c.pairVisible(j, i))
 	}
-	thr := 2*c.radius + vision.BlockTol + corridorMargin
+	corridor := geom.NewDistBound(2*c.radius + vision.BlockTol + corridorMargin)
 	for a := 0; a < c.n; a++ {
 		if a == i {
 			continue
@@ -113,8 +113,7 @@ func (c *Cache) Move(i int, p geom.Vec) {
 				continue
 			}
 			cb := c.centers[b]
-			if geom.DistancePointSegment(old, ca, cb) <= thr ||
-				geom.DistancePointSegment(p, ca, cb) <= thr {
+			if corridor.SegmentWithin(old, ca, cb) || corridor.SegmentWithin(p, ca, cb) {
 				c.setVis(a, b, c.pairVisible(a, b))
 				c.setVis(b, a, c.pairVisible(b, a))
 			}

@@ -18,20 +18,40 @@ const (
 // lies to the left of the directed line a->b, Clockwise if to the right, and
 // Collinear if the three points are collinear within tolerance Eps (scaled by
 // the magnitude of the involved coordinates for robustness).
+//
+// The tolerance is Eps*max(1, |b-a|, |c-a|) and the triple is collinear when
+// |cross| does not exceed it. Rounded multiplication by Eps is monotone, so
+// that is |cross| > Eps and |cross| > Eps*|b-a| and |cross| > Eps*|c-a|; each
+// length test is decided through DistBound on the bound |cross|/Eps, falling
+// back to the product with math.Hypot inside the band.
 func Orientation(a, b, c Vec) Orient {
-	cross := b.Sub(a).Cross(c.Sub(a))
-	// Scale the tolerance with the extent of the triangle so the predicate is
-	// meaningful both near the origin and far from it.
-	scale := math.Max(1, math.Max(b.Sub(a).Norm(), c.Sub(a).Norm()))
-	tol := Eps * scale
-	switch {
-	case cross > tol:
-		return CounterClockwise
-	case cross < -tol:
-		return Clockwise
-	default:
+	ab, ac := b.Sub(a), c.Sub(a)
+	cross := ab.Cross(ac)
+	abs := math.Abs(cross)
+	if !(abs > Eps) {
 		return Collinear
 	}
+	// Scale the tolerance with the extent of the triangle so the predicate is
+	// meaningful both near the origin and far from it.
+	bound := NewDistBound(abs / Eps)
+	if !epsScaledBelow(bound, ab, abs) || !epsScaledBelow(bound, ac, abs) {
+		return Collinear
+	}
+	if cross > 0 {
+		return CounterClockwise
+	}
+	return Clockwise
+}
+
+// epsScaledBelow reports whether Eps*v.Norm() < abs, given the bound
+// abs/Eps. Outside the band a length at most 1-5e-13 of the bound scales to
+// less than abs and one beyond 1+5e-13 of it to more, whatever the roundings
+// of the quotient, the product and math.Hypot.
+func epsScaledBelow(bound DistBound, v Vec, abs float64) bool {
+	if within, ok := bound.decide(v.Norm2()); ok {
+		return within
+	}
+	return Eps*v.Norm() < abs
 }
 
 // CollinearPts reports whether a, b, c lie on a single straight line within

@@ -98,8 +98,9 @@ func (v Vec) Eq(w Vec) bool {
 	return math.Abs(v.X-w.X) <= Eps && math.Abs(v.Y-w.Y) <= Eps
 }
 
-// EqWithin reports whether v and w coincide within tol in Euclidean distance.
-func (v Vec) EqWithin(w Vec, tol float64) bool { return v.Dist(w) <= tol }
+// EqWithin reports whether v and w coincide within tol in Euclidean distance
+// (v.Dist(w) <= tol, decided through DistBound).
+func (v Vec) EqWithin(w Vec, tol float64) bool { return NewDistBound(tol).Within(v.Sub(w)) }
 
 // IsFinite reports whether both coordinates are finite (not NaN, not Inf).
 func (v Vec) IsFinite() bool {

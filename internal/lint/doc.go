@@ -12,7 +12,8 @@
 //     result-producing paths; randomness flows from seeded *rand.Rand values
 //     and timestamps from injected clocks.
 //   - floateq: no exact float ==/!= in geometry/simulation predicates outside
-//     approved exact helpers; use the Eps tolerance predicates.
+//     approved exact helpers, also on structs and arrays with float fields;
+//     use the Eps tolerance predicates or compare math.Float64bits.
 //   - publishdiscipline: all cross-process file publication in internal/sweep
 //     goes through the audited temp+hard-link/rename helpers.
 //   - errclose: no discarded Close/Sync errors on store/lease write paths.

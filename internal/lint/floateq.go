@@ -4,12 +4,14 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
+	"go/types"
 
 	"github.com/fatgather/fatgather/internal/lint/analysis"
 )
 
 // FloatEq flags == and != on floating-point operands in the geometry and
-// simulation packages.
+// simulation packages, including struct and array operands with a float
+// component (geom.Vec == geom.Vec compares two pairs of floats exactly).
 //
 // Exact float equality is almost always a robustness bug in geometric code:
 // the predicates are specified with the Eps tolerance (Vec.Eq, EqWithin,
@@ -47,7 +49,11 @@ func runFloatEq(pass *analysis.Pass) error {
 				return true
 			}
 			xt, yt := pass.TypesInfo.Types[bin.X], pass.TypesInfo.Types[bin.Y]
-			if xt.Type == nil || yt.Type == nil || (!isFloat(xt.Type) && !isFloat(yt.Type)) {
+			if xt.Type == nil || yt.Type == nil {
+				return true
+			}
+			scalar := isFloat(xt.Type) || isFloat(yt.Type)
+			if !scalar && !hasFloatComponent(xt.Type) && !hasFloatComponent(yt.Type) {
 				return true
 			}
 			if isExactZero(xt.Value) || isExactZero(yt.Value) {
@@ -56,8 +62,11 @@ func runFloatEq(pass *analysis.Pass) error {
 			if floatEqAllowlist[enclosingFuncName(file, bin.Pos())] {
 				return true
 			}
-			pass.Reportf(bin.Pos(),
-				"exact float %s comparison; use the Eps tolerance helpers (Vec.Eq, EqWithin) or an allowlisted exact helper", bin.Op)
+			msg := "exact float %s comparison; use the Eps tolerance helpers (Vec.Eq, EqWithin) or an allowlisted exact helper"
+			if !scalar {
+				msg = "exact float %s comparison of values with float fields; use the Eps tolerance helpers (Vec.Eq, EqWithin) or compare math.Float64bits"
+			}
+			pass.Reportf(bin.Pos(), msg, bin.Op)
 			return true
 		})
 	}
@@ -71,4 +80,21 @@ func isExactZero(v constant.Value) bool {
 	}
 	f := constant.ToFloat(v)
 	return f.Kind() == constant.Float && constant.Sign(f) == 0
+}
+
+// hasFloatComponent reports whether a struct or array type compares a float
+// when compared with ==: it has a float field or element, at any depth of
+// nested structs and arrays.
+func hasFloatComponent(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if f := u.Field(i).Type(); isFloat(f) || hasFloatComponent(f) {
+				return true
+			}
+		}
+	case *types.Array:
+		return isFloat(u.Elem()) || hasFloatComponent(u.Elem())
+	}
+	return false
 }

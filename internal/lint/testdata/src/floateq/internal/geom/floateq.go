@@ -18,6 +18,29 @@ func badNamed(a, b scalar) bool {
 	return a == b // want "exact float == comparison"
 }
 
+func badStruct(a, b vec) bool {
+	return a == b // want "exact float == comparison of values with float fields"
+}
+
+type segment struct{ A, B vec }
+
+func badNested(a, b segment) bool {
+	return a != b // want "exact float != comparison of values with float fields"
+}
+
+func badArray(a, b [2]float64) bool {
+	return a == b // want "exact float == comparison of values with float fields"
+}
+
+type label struct {
+	name string
+	id   int
+}
+
+func structWithoutFloats(a, b label) bool {
+	return a == b
+}
+
 // zeroGuard compares against the exactly representable zero: allowed.
 func zeroGuard(den float64) bool {
 	return den == 0

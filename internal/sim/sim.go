@@ -54,6 +54,12 @@ type Algorithm interface {
 	// Name identifies the algorithm in reports.
 	Name() string
 	// Decide maps a local view to a decision (target point or terminate).
+	// It must be a deterministic pure function of the View, as the paper's
+	// oblivious robots require: the same view always yields the same
+	// decision, and Decide keeps no state between calls. The simulator
+	// relies on this and may reuse a robot's previous decision, without
+	// calling Decide, when the robot's next view is bit-identical to the one
+	// that decision was computed from.
 	Decide(v core.View) core.Decision
 }
 
@@ -304,6 +310,10 @@ type Simulator struct {
 	viewBuf   []geom.Vec
 	othersBuf []geom.Vec
 
+	// lastDecide holds, per robot, the input and output of its last Decide
+	// call (see decideFor).
+	lastDecide []decideSlot
+
 	// Livelock detection state (livelock.go). progressed is set by any event
 	// that advances a robot or terminates one; zeroStreak counts consecutive
 	// events without progress.
@@ -338,6 +348,7 @@ func New(initial config.Geometric, opts Options) (*Simulator, error) {
 		robots:      robots,
 		n:           len(initial),
 		geo:         incr.New(o.Vision, initial),
+		lastDecide:  make([]decideSlot, len(initial)),
 		stateVisits: make(map[core.AlgState]int),
 		milestones: Milestones{
 			AllOnHull: -1, FullyVisible: -1, SafeConfig: -1,
@@ -523,7 +534,7 @@ func (s *Simulator) eventComputeOutcome(r *robot.Robot) error {
 			s.othersBuf = append(s.othersBuf, c)
 		}
 	}
-	decision := s.opts.Algorithm.Decide(core.NewView(self, s.othersBuf, s.n))
+	decision := s.decideFor(r.ID, self)
 	s.stateVisits[decision.Final()]++
 	if decision.Terminate {
 		if s.milestones.FirstTerminate < 0 {
@@ -535,6 +546,51 @@ func (s *Simulator) eventComputeOutcome(r *robot.Robot) error {
 		return r.Done()
 	}
 	return r.BeginMove(decision.Target)
+}
+
+// decideSlot is one robot's last Decide call: the exact input (self and the
+// self-filtered others; n is fixed for the simulator) and its Decision.
+type decideSlot struct {
+	valid    bool
+	self     geom.Vec
+	others   []geom.Vec
+	decision core.Decision
+}
+
+// decideFor returns the decision for robot id's view (self, s.othersBuf).
+// Algorithm.Decide is a pure function of the view, so when the view is bit
+// for bit the one of the robot's previous Compute, the previous decision is
+// the answer and neither Decide nor core.NewView's copy runs. This caches a
+// function, not robot state: robots stay oblivious, and since the key is the
+// whole Decide input nothing ever needs invalidating. One slot per robot is
+// enough in practice because a repeated view is almost always a repeat of
+// the robot's last one (a livelocked robot re-deciding the same snapshot).
+func (s *Simulator) decideFor(id int, self geom.Vec) core.Decision {
+	slot := &s.lastDecide[id]
+	if slot.valid && sameBits(slot.self, self) && len(slot.others) == len(s.othersBuf) {
+		hit := true
+		for i, c := range s.othersBuf {
+			if !sameBits(slot.others[i], c) {
+				hit = false
+				break
+			}
+		}
+		if hit {
+			return slot.decision
+		}
+	}
+	decision := s.opts.Algorithm.Decide(core.NewView(self, s.othersBuf, s.n))
+	slot.valid = true
+	slot.self = self
+	slot.others = append(slot.others[:0], s.othersBuf...)
+	slot.decision = decision
+	return decision
+}
+
+// sameBits reports whether a and b have bit-identical coordinates (unlike
+// float ==, this separates 0 from -0 and matches NaN with itself).
+func sameBits(a, b geom.Vec) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }
 
 // eventAdvance implements the Move/Stop/Collide/Arrive events for one

@@ -173,6 +173,7 @@ func (ix *Index) Visible(i, j int) bool {
 // capsule covers more cells than there are discs.
 func (ix *Index) segmentBlocked(seg geom.Segment, i, j int) bool {
 	blockR := ix.r + BlockTol
+	block := geom.NewDistBound(blockR)
 	h := ix.cell
 	ax, ay := seg.A.X, seg.A.Y
 	bx, by := seg.B.X, seg.B.Y
@@ -190,7 +191,7 @@ func (ix *Index) segmentBlocked(seg geom.Segment, i, j int) bool {
 			if k == i || k == j {
 				continue
 			}
-			if geom.DistancePointSegment(c, seg.A, seg.B) <= blockR {
+			if block.SegmentWithin(c, seg.A, seg.B) {
 				return true
 			}
 		}
@@ -220,7 +221,7 @@ func (ix *Index) segmentBlocked(seg geom.Segment, i, j int) bool {
 				if int(k) == i || int(k) == j {
 					continue
 				}
-				if geom.DistancePointSegment(ix.centers[k], seg.A, seg.B) <= blockR {
+				if block.SegmentWithin(ix.centers[k], seg.A, seg.B) {
 					return true
 				}
 			}

@@ -222,7 +222,7 @@ type sightLines struct {
 func (m *Model) sightLines(a, b geom.Vec, r float64) sightLines {
 	s := sightLines{a: a, b: b, r: r, samples: m.opts.samples()}
 	dir := b.Sub(a)
-	if dir.Norm() <= 2*r+geom.Eps {
+	if geom.NewDistBound(2*r + geom.Eps).Within(dir) {
 		s.touching = true
 	} else {
 		s.u = dir.Unit()
@@ -269,10 +269,12 @@ func (s *sightLines) next() (geom.Segment, bool) {
 }
 
 // segmentBlocked reports whether the segment comes within the closed disc of
-// radius r of any blocker.
+// radius r of any blocker: DistancePointSegment <= r+BlockTol, decided on
+// squared lengths through geom.DistBound.
 func segmentBlocked(seg geom.Segment, blockers []geom.Vec, r float64) bool {
+	block := geom.NewDistBound(r + BlockTol)
 	for _, c := range blockers {
-		if geom.DistancePointSegment(c, seg.A, seg.B) <= r+BlockTol {
+		if block.SegmentWithin(c, seg.A, seg.B) {
 			return true
 		}
 	}
@@ -283,11 +285,12 @@ func segmentBlocked(seg geom.Segment, blockers []geom.Vec, r float64) bool {
 // skipped in place: identical verdicts to building the blocker slice, scan
 // order preserved, no allocation.
 func segmentBlockedExcept(seg geom.Segment, centers []geom.Vec, i, j int, r float64) bool {
+	block := geom.NewDistBound(r + BlockTol)
 	for k, c := range centers {
 		if k == i || k == j {
 			continue
 		}
-		if geom.DistancePointSegment(c, seg.A, seg.B) <= r+BlockTol {
+		if block.SegmentWithin(c, seg.A, seg.B) {
 			return true
 		}
 	}
