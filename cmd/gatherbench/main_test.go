@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -76,6 +78,22 @@ func TestRunPrintsSelectedExperiments(t *testing.T) {
 	}
 	if strings.Contains(got, "== E1:") {
 		t.Fatalf("unselected experiment printed:\n%s", got)
+	}
+}
+
+// TestE13FullBudgetByteIdentical pins the stdout of
+// `gatherbench -only E13 -seeds 6 -workers 1` at the default event budget.
+// E13 crosses every adversary strategy with every fault decorator, so the
+// hash covers the whole Look/Compute/Move path at full length: a hot-path
+// change that alters any decision, event or float bit changes it.
+func TestE13FullBudgetByteIdentical(t *testing.T) {
+	const want = "a36eca4d8e8870df83220140a25bacfe65ab5601ff99688cec14929c56d4d266"
+	var out strings.Builder
+	if err := run([]string{"-only", "E13", "-seeds", "6", "-workers", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != want {
+		t.Fatalf("E13 stdout sha256 %s, want %s\n%s", got, want, out.String())
 	}
 }
 
