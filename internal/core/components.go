@@ -106,24 +106,29 @@ func splitComponents(ordered []geom.Vec, m int) []Component {
 	}
 	// Start right after the first splitting gap so components are contiguous.
 	start := 0
+	splits := 0
 	for i := range gapAfter {
 		if gapAfter[i] > tol {
-			start = (i + 1) % n
-			break
+			if splits == 0 {
+				start = (i + 1) % n
+			}
+			splits++
 		}
 	}
-	var comps []Component
-	var cur []geom.Vec
+	// Starting right after a splitting gap, the walk ends on one, so every
+	// splitting gap closes exactly one component. All members are carved
+	// from one backing array; the full slice expressions keep an append to
+	// one component from writing over the next.
+	comps := make([]Component, 0, splits)
+	members := make([]geom.Vec, n)
+	lo := 0
 	for k := 0; k < n; k++ {
 		i := (start + k) % n
-		cur = append(cur, ordered[i])
+		members[k] = ordered[i]
 		if gapAfter[i] > tol {
-			comps = append(comps, Component{Members: cur})
-			cur = nil
+			comps = append(comps, Component{Members: members[lo : k+1 : k+1]})
+			lo = k + 1
 		}
-	}
-	if len(cur) > 0 {
-		comps = append(comps, Component{Members: cur})
 	}
 	return comps
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/fatgather/fatgather/internal/config"
@@ -12,16 +13,72 @@ import (
 // Look state. Self is the observing robot's own center, Others are the
 // centers of the other robots it can see, and N is the total number of robots
 // in the system (which the paper assumes every robot knows).
+//
+// A View built by NewViewWithMemo also carries a memo: two facts about its
+// point set that the builder already knew. The memo is a function of the
+// view's points, so it never changes what Decide returns, only how much
+// Decide recomputes. Views built any other way carry none.
 type View struct {
 	Self   geom.Vec
 	Others []geom.Vec
 	N      int
+
+	memo             bool
+	memoFullyVisible bool       // vision.Default.FullyVisible of the points
+	memoCorners      []geom.Vec // geom.ConvexHull of the points; owned
 }
 
 // NewView builds a View, copying the slice of other centers.
 func NewView(self geom.Vec, others []geom.Vec, n int) View {
 	return View{Self: self, Others: append([]geom.Vec(nil), others...), N: n}
 }
+
+// NewViewWithMemo is NewView for a view that holds the whole configuration,
+// with two facts about that point set which the caller has already computed:
+// fullyVisible must be vision.Default.FullyVisible of the points, and
+// corners must be geom.ConvexHull of the points, in any input order. Decide
+// then takes both from the memo instead of recomputing them, and returns
+// exactly what it returns for NewView(self, others, n):
+//
+//   - FullyVisible asks every ordered pair of points, and each pair's
+//     verdict is an OR over the other points as blockers, so permuting the
+//     points cannot change it (the grid path is pinned identical to the flat
+//     scan).
+//   - ConvexHull sorts the deduplicated points by lexLess, a strict total
+//     order, and walks the monotone chain over that one sorted sequence, so
+//     its corners do not depend on input order either. Dedup removes
+//     nothing: robots do not overlap, so view points are more than geom.Eps
+//     apart. The exception is two or fewer points, which ConvexHull returns
+//     in input order, so such views get no memo (their verdict is trivially
+//     true and their hull is free anyway).
+//
+// The memo is kept only when the view sees all n robots (1+len(others) == n)
+// and n >= 3; otherwise this is NewView. Only the hull corners and the
+// verdict are memoized: the centroid and the on-hull order still come from
+// the view, because both depend on its point order (the summation order of
+// the centroid, the ties of a stable sort).
+//
+// The corners are copied, like others, so the View owns its memo: it stays
+// valid after the caller reuses its buffers, and a View kept by value and
+// decided again later returns the same decision.
+func NewViewWithMemo(self geom.Vec, others []geom.Vec, n int, fullyVisible bool, corners []geom.Vec) View {
+	k := len(others)
+	if k+1 != n || n < 3 {
+		return NewView(self, others, n)
+	}
+	// One allocation backs both slices; the full slice expression keeps an
+	// append to Others from writing over the corners.
+	buf := make([]geom.Vec, k+len(corners))
+	copy(buf, others)
+	copy(buf[k:], corners)
+	return View{
+		Self: self, Others: buf[:k:k], N: n,
+		memo: true, memoFullyVisible: fullyVisible, memoCorners: buf[k:],
+	}
+}
+
+// HasMemo reports whether the view carries a memo (see NewViewWithMemo).
+func (v View) HasMemo() bool { return v.memo }
 
 // All returns every visible center including Self (Self first).
 func (v View) All() []geom.Vec {
@@ -81,11 +138,15 @@ type hullInfo struct {
 	slack    float64
 }
 
-// buildHullInfo computes the hull digest for a view.
+// buildHullInfo computes the hull digest for a view, taking the corners from
+// the view's memo when it has one (NewViewWithMemo says why they are the same).
 func buildHullInfo(v View) *hullInfo {
 	all := v.All()
 	slack := OnHullSlack(v.N)
-	corners := geom.ConvexHull(all)
+	corners := v.memoCorners
+	if !v.memo {
+		corners = geom.ConvexHull(all)
+	}
 	interior := geom.Centroid(all)
 	onHull := orderOnHull(all, corners, slack, interior)
 	selfIdx := -1
@@ -109,11 +170,12 @@ func buildHullInfo(v View) *hullInfo {
 // of the convex hull with the given corners, ordered counter-clockwise by
 // angle around the interior point.
 func orderOnHull(all, corners []geom.Vec, slack float64, interior geom.Vec) []geom.Vec {
-	var onHull []geom.Vec
+	if len(corners) == 0 {
+		return nil
+	}
+	onHull := make([]geom.Vec, 0, len(all))
 	within := geom.NewDistBound(slack)
 	switch len(corners) {
-	case 0:
-		return nil
 	case 1:
 		for _, p := range all {
 			if within.Within(p.Sub(corners[0])) {
@@ -154,7 +216,20 @@ func orderOnHull(all, corners []geom.Vec, slack float64, interior geom.Vec) []ge
 	for i, p := range onHull {
 		items[i] = keyed{p: p, key: boundaryKey(p, corners)}
 	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].key < items[j].key })
+	// slices.SortStableFunc runs the same insertion-sort-and-SymMerge code
+	// as sort.SliceStable, testing cmp(a, b) < 0 wherever that tests less,
+	// so a comparator that is negative exactly when a.key < b.key gives the
+	// same arrangement, NaN keys included (cmp.Compare would order NaN
+	// first and could move them), without the reflective swapper.
+	slices.SortStableFunc(items, func(a, b keyed) int {
+		switch {
+		case a.key < b.key:
+			return -1
+		case b.key < a.key:
+			return 1
+		}
+		return 0
+	})
 	for i, it := range items {
 		onHull[i] = it.p
 	}

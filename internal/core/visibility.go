@@ -15,8 +15,12 @@ var visionModel = vision.Default
 // the operative form of the paper's "all robots have full visibility
 // according to Vi" check in Procedure OnConvexHull. Small views run the flat
 // pair scan (identical verdicts and early-exit order to Model.FullyVisible,
-// no per-pair allocation); large views keep the grid-indexed batch path.
+// no per-pair allocation); large views keep the grid-indexed batch path. A
+// view with a memo already holds the verdict (see NewViewWithMemo).
 func (d *decider) viewFullyVisible() bool {
+	if d.view.memo {
+		return d.view.memoFullyVisible
+	}
 	all := d.hull.all
 	if len(all) >= vision.GridThreshold {
 		return visionModel.FullyVisible(all)

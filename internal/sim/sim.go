@@ -59,7 +59,10 @@ type Algorithm interface {
 	// decision, and Decide keeps no state between calls. The simulator
 	// relies on this and may reuse a robot's previous decision, without
 	// calling Decide, when the robot's next view is bit-identical to the one
-	// that decision was computed from.
+	// that decision was computed from. A view of the whole configuration may
+	// carry a memo (core.NewViewWithMemo) of facts the simulator already
+	// knew at Look time; the memo is a function of the view's points, so it
+	// is part of that pure function, and an algorithm may ignore it.
 	Decide(v core.View) core.Decision
 }
 
@@ -310,9 +313,11 @@ type Simulator struct {
 	viewBuf   []geom.Vec
 	othersBuf []geom.Vec
 
-	// lastDecide holds, per robot, the input and output of its last Decide
-	// call (see decideFor).
-	lastDecide []decideSlot
+	// slots holds, per robot, what the geometry cache knew about its last
+	// snapshot (see eventLook) and the input and output of its last Decide
+	// call (see decideFor). memoOK says whether Look may record such facts.
+	slots  []decideSlot
+	memoOK bool
 
 	// Livelock detection state (livelock.go). progressed is set by any event
 	// that advances a robot or terminates one; zeroStreak counts consecutive
@@ -348,7 +353,8 @@ func New(initial config.Geometric, opts Options) (*Simulator, error) {
 		robots:      robots,
 		n:           len(initial),
 		geo:         incr.New(o.Vision, initial),
-		lastDecide:  make([]decideSlot, len(initial)),
+		slots:       make([]decideSlot, len(initial)),
+		memoOK:      isCoreVision(o.Vision),
 		stateVisits: make(map[core.AlgState]int),
 		milestones: Milestones{
 			AllOnHull: -1, FullyVisible: -1, SafeConfig: -1,
@@ -515,13 +521,42 @@ func (s *Simulator) activeCandidates() []int {
 // see (always including its own). A fault-injecting strategy may perturb the
 // snapshot — but never the robot's self-observation or the physical
 // configuration.
+//
+// When the snapshot is unperturbed and holds all n robots, it is the whole
+// configuration, and the geometry cache already knows two facts about it
+// that the robot's Compute would otherwise rebuild: whether it is fully
+// visible, and its hull corners. Both are recorded here for decideFor to
+// hand to core.NewViewWithMemo. observe() refreshed the hull after the last
+// event, so copying the corners costs no hull computation.
 func (s *Simulator) eventLook(r *robot.Robot) error {
 	s.viewBuf = s.geo.AppendViewCenters(s.viewBuf[:0], r.ID)
 	view := s.viewBuf
+	facts := &s.slots[r.ID].look
+	facts.whole = false
 	if p, ok := s.opts.Strategy.(adversary.Perturber); ok {
 		view = p.PerturbView(r.ID, r.Center, view)
+	} else if s.memoOK && len(view) == s.n {
+		facts.whole = true
+		facts.fullyVisible = s.geo.FullyVisible()
+		facts.corners = append(facts.corners[:0], s.geo.HullCorners()...)
 	}
 	return r.BeginLook(view)
+}
+
+// lookFacts is what the geometry cache knew about one robot's last snapshot
+// when that snapshot was the whole configuration (whole). corners is reused
+// from Look to Look; core.NewViewWithMemo copies it.
+type lookFacts struct {
+	whole        bool
+	fullyVisible bool
+	corners      []geom.Vec
+}
+
+// isCoreVision reports whether m answers every query as vision.Default, the
+// model core.Decide reasons with (equal fingerprints). Only then may the
+// simulator's Look-time facts stand in for what Decide computes.
+func isCoreVision(m *vision.Model) bool {
+	return m == vision.Default || m.Fingerprint() == vision.Default.Fingerprint()
 }
 
 // eventComputeOutcome implements the Compute/Done/Move events: run the local
@@ -548,9 +583,12 @@ func (s *Simulator) eventComputeOutcome(r *robot.Robot) error {
 	return r.BeginMove(decision.Target)
 }
 
-// decideSlot is one robot's last Decide call: the exact input (self and the
-// self-filtered others; n is fixed for the simulator) and its Decision.
+// decideSlot is one robot's Decide bookkeeping: the facts its last Look
+// recorded for the next Decide, and its last Decide call — the exact input
+// (self and the self-filtered others; n is fixed for the simulator) and its
+// Decision.
 type decideSlot struct {
+	look     lookFacts
 	valid    bool
 	self     geom.Vec
 	others   []geom.Vec
@@ -566,7 +604,7 @@ type decideSlot struct {
 // enough in practice because a repeated view is almost always a repeat of
 // the robot's last one (a livelocked robot re-deciding the same snapshot).
 func (s *Simulator) decideFor(id int, self geom.Vec) core.Decision {
-	slot := &s.lastDecide[id]
+	slot := &s.slots[id]
 	if slot.valid && sameBits(slot.self, self) && len(slot.others) == len(s.othersBuf) {
 		hit := true
 		for i, c := range s.othersBuf {
@@ -579,7 +617,13 @@ func (s *Simulator) decideFor(id int, self geom.Vec) core.Decision {
 			return slot.decision
 		}
 	}
-	decision := s.opts.Algorithm.Decide(core.NewView(self, s.othersBuf, s.n))
+	var v core.View
+	if facts := &slot.look; facts.whole {
+		v = core.NewViewWithMemo(self, s.othersBuf, s.n, facts.fullyVisible, facts.corners)
+	} else {
+		v = core.NewView(self, s.othersBuf, s.n)
+	}
+	decision := s.opts.Algorithm.Decide(v)
 	slot.valid = true
 	slot.self = self
 	slot.others = append(slot.others[:0], s.othersBuf...)
